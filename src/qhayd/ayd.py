@@ -7,6 +7,12 @@ the same natural family tau_V: V# (x) M -> M (x) V, the value tau_H
 determines everything by naturality, and the two presentations convert
 into each other through it.
 
+The per-element compatibility and the counit condition are linear in the
+coaction.  Each is defined once here, by a generator of (location, lhs, rhs)
+blocks (``compat_i_blocks``, ``compat_ii_blocks``, ``counit_blocks``): the
+checkers report the first block whose sides differ, and ``ayd_solve``
+assembles the same blocks into its linear system.
+
 The coassociativity-type compatibility (the "quasi-comodule" conditions)
 is checked compositionally: both composites around the hexagon at
 V = W = H are evaluated on the generating vectors 1 (x) 1 (x) m, which
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentSystemError, ShapeError
 from .linalg import Matrix, hstack, inverse, kron, solve, solve_unique
+from .qha import delta_tree_matrix
 from .reports import CheckReport
 from .repcat import (
     Module,
@@ -43,6 +50,9 @@ __all__ = [
     "r_tensor_module",
     "check_type_i",
     "check_type_ii",
+    "compat_i_blocks",
+    "compat_ii_blocks",
+    "counit_blocks",
     "tau_from_rho",
     "rho_from_tau",
     "tau_from_lambda",
@@ -121,10 +131,7 @@ def r_tensor_module(m: Module) -> Module:
     """The module M (x)^r H with x . (m (x) h) = x^21 m (x) x^22 h S(x^1)."""
     h = m.h
     n, f = h.dim, h.field
-    tree = (None, (None, None))
-    from .qha import delta_tree_matrix
-
-    d3 = delta_tree_matrix(h.qb, tree)
+    d3 = delta_tree_matrix(h.qb, (None, (None, None)))
     acts = []
     for a in range(n):
         col = d3.col(a)
@@ -147,7 +154,7 @@ def r_tensor_module(m: Module) -> Module:
 
 def tau_from_rho(t: AydTypeI, v: Module) -> ModuleMap:
     """tau_V(v (x) m) = m<0> (x) m<1> v."""
-    m, h = t.module, t.module.h
+    m = t.module
     d, dv, f = m.dim, v.dim, m.field
     nz = _coaction_nonzeros(m, t.rho)
     entries = [f.zero()] * (d * dv * dv * d)
@@ -223,7 +230,6 @@ def lambda_from_tau(b: HalfBraiding) -> AydTypeII:
     d, n, f = m.dim, h.dim, m.field
     reg = regular_module(h)
     cols = []
-    zero = Matrix.zeros(f, d * n, d)
     for nu in range(d):
         for bb in range(n):
             for mu in range(d):
@@ -264,29 +270,12 @@ def convert_ii_to_i(t: AydTypeII) -> AydTypeI:
 # -- defining-equation checks ---------------------------------------------------
 
 
-def check_type_i(t: AydTypeI) -> CheckReport:
-    rep = CheckReport()
-    rep.extend(_check_compat_i(t))
-    rep.extend(_check_quasi_comodule(t, "quasi-comodule", tau_from_rho))
-    rep.extend(_check_counit_condition(t.module, t.rho, "comodule-unit", with_alpha=False))
-    return rep
-
-
-def check_type_ii(t: AydTypeII) -> CheckReport:
-    rep = CheckReport()
-    rep.extend(_check_compat_ii(t))
-    rep.extend(_check_quasi_comodule(t, "quasi-comodule-ii", tau_from_lambda))
-    rep.extend(_check_counit_condition(t.module, t.lam, "comodule-unit-ii", with_alpha=True))
-    return rep
-
-
-def _check_compat_i(t: AydTypeI) -> CheckReport:
-    """h^1 m<0> (x) h^2 m<1> = (h^2 m)<0> (x) (h^2 m)<1> S^2(h^1) on all basis pairs."""
-    rep = CheckReport()
-    m, h = t.module, t.module.h
+def compat_i_blocks(m: Module, rho: Matrix):
+    """h^1 m<0> (x) h^2 m<1> = (h^2 m)<0> (x) (h^2 m)<1> S^2(h^1), per (e_a, m_mu)."""
+    h = m.h
     alg = h.algebra
     d, n, f = m.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, t.rho)
+    nz = _coaction_nonzeros(m, rho)
     s2 = h.s_squared()
     for a in range(n):
         for mu in range(d):
@@ -295,7 +284,7 @@ def _check_compat_i(t: AydTypeI) -> CheckReport:
             for (j, k), c in h.qb.delta_of_basis(a):
                 aj = m.action[j]
                 for (nu, b), r in nz[mu]:
-                    hb = alg.mul_vec(basis_vec(f, n, k), basis_vec(f, n, b))
+                    hb = alg.mult[k][b]
                     coeff = c * r
                     for nu2 in range(d):
                         x = aj.at(nu2, nu)
@@ -316,25 +305,21 @@ def _check_compat_i(t: AydTypeI) -> CheckReport:
                         for l, y in enumerate(hb):
                             if y:
                                 rhs[nu * n + l] = rhs[nu * n + l] + coeff * y
-            if lhs != rhs:
-                rep.add_fail("ayd-compatibility", (a, mu), lhs, rhs)
-                return rep
-    rep.add_ok("ayd-compatibility")
-    return rep
+            yield (a, mu), lhs, rhs
 
 
-def _check_compat_ii(t: AydTypeII) -> CheckReport:
-    """(hm)[0] (x) (hm)[1] = h^21 m[0] (x) h^22 m[1] S(h^1); equivalently
-    lambda is H-linear into M (x)^r H -- both are verified."""
-    rep = CheckReport()
-    m, h = t.module, t.module.h
+def compat_ii_blocks(m: Module, lam: Matrix):
+    """(hm)[0] (x) (hm)[1] = h^21 m[0] (x) h^22 m[1] S(h^1), per (e_a, m_mu).
+
+    Block (a, mu) compares column mu of lambda o act(e_a) with that of
+    act'(e_a) o lambda, act' the action on M (x)^r H, so all blocks agree
+    exactly when lambda is H-linear into r_tensor_module(M).
+    """
+    h = m.h
     alg = h.algebra
     d, n, f = m.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, t.lam)
-    from .qha import delta_tree_matrix
-
+    nz = _coaction_nonzeros(m, lam)
     d3 = delta_tree_matrix(h.qb, (None, (None, None)))
-    witness = None
     for a in range(n):
         col3 = d3.col(a)
         aa = m.action[a]
@@ -364,20 +349,45 @@ def _check_compat_ii(t: AydTypeII) -> CheckReport:
                         for l2, y in enumerate(hb):
                             if y:
                                 rhs[nu2 * n + l2] = rhs[nu2 * n + l2] + coeff * x * y
-            if lhs != rhs:
-                witness = ((a, mu), lhs, rhs)
-                break
-        if witness:
-            break
-    from .repcat import is_module_morphism
+            yield (a, mu), lhs, rhs
 
-    linear = is_module_morphism(t.lam, m, r_tensor_module(m))
-    if witness is None and linear:
-        rep.add_ok("ayd-compatibility-ii")
-    elif witness is not None:
-        rep.add_fail("ayd-compatibility-ii", *witness)
-    else:
-        rep.add_fail("ayd-compatibility-ii", ("morphism",), (), ())
+
+def counit_blocks(m: Module, coaction: Matrix, with_alpha: bool):
+    """eps(m<1>) m<0> = m (type I) or eps(m[1]) m[0] eps(alpha) = m (type II), per m_mu."""
+    h = m.h
+    d, f = m.dim, m.field
+    nz = _coaction_nonzeros(m, coaction)
+    scale = h.qb.counit.apply(h.alpha)[0] if with_alpha else f.one()
+    for mu in range(d):
+        acc = [f.zero()] * d
+        for (nu, b), r in nz[mu]:
+            e = h.qb.counit_of_basis(b)
+            if e:
+                acc[nu] = acc[nu] + r * e * scale
+        yield (mu,), acc, list(basis_vec(f, d, mu))
+
+
+def _first_failure(rep: CheckReport, name: str, blocks):
+    for loc, lhs, rhs in blocks:
+        if lhs != rhs:
+            rep.add_fail(name, loc, lhs, rhs)
+            return
+    rep.add_ok(name)
+
+
+def check_type_i(t: AydTypeI) -> CheckReport:
+    rep = CheckReport()
+    _first_failure(rep, "ayd-compatibility", compat_i_blocks(t.module, t.rho))
+    rep.extend(_check_quasi_comodule(t, "quasi-comodule", tau_from_rho))
+    _first_failure(rep, "comodule-unit", counit_blocks(t.module, t.rho, with_alpha=False))
+    return rep
+
+
+def check_type_ii(t: AydTypeII) -> CheckReport:
+    rep = CheckReport()
+    _first_failure(rep, "ayd-compatibility-ii", compat_ii_blocks(t.module, t.lam))
+    rep.extend(_check_quasi_comodule(t, "quasi-comodule-ii", tau_from_lambda))
+    _first_failure(rep, "comodule-unit-ii", counit_blocks(t.module, t.lam, with_alpha=True))
     return rep
 
 
@@ -462,27 +472,6 @@ def classical_comodule_matrices(t: AydTypeI):
                     second[(nu * n + x) * n + y][mu] + r * c
                 )
     return Matrix.from_rows(f, first), Matrix.from_rows(f, second)
-
-
-def _check_counit_condition(m: Module, coaction: Matrix, name: str, with_alpha: bool) -> CheckReport:
-    """m = eps(m<1>) m<0>  (type I) or m = eps(m[1]) m[0] eps(alpha)  (type II)."""
-    rep = CheckReport()
-    h = m.h
-    d, n, f = m.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, coaction)
-    scale = h.qb.counit.apply(h.alpha)[0] if with_alpha else f.one()
-    for mu in range(d):
-        acc = [f.zero()] * d
-        for (nu, b), r in nz[mu]:
-            e = h.qb.counit_of_basis(b)
-            if e:
-                acc[nu] = acc[nu] + r * e * scale
-        expected = list(basis_vec(f, d, mu))
-        if acc != expected:
-            rep.add_fail(name, (mu,), acc, expected)
-            return rep
-    rep.add_ok(name)
-    return rep
 
 
 # -- naturality, stability, duality ---------------------------------------------

@@ -2,15 +2,18 @@
 
 The per-element compatibility and the counit condition are linear in the
 coaction map, so their joint solution set is an affine subspace computed
-exactly.  The remaining coassociativity-type condition is quadratic; over a
-prime field the affine space is enumerated and filtered through the full
-check, over the rationals only membership checking is offered.
+exactly.  Both conditions are defined once, as the block generators in
+``ayd`` that the checkers also use; this module only assembles those blocks
+into one linear system.  The remaining coassociativity-type condition is
+quadratic; over a prime field the affine space is enumerated and filtered
+through the full check, over the rationals only membership checking is
+offered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Optional
 
 from .ayd import (
@@ -18,18 +21,19 @@ from .ayd import (
     AydTypeII,
     check_type_i,
     check_type_ii,
+    compat_i_blocks,
+    compat_ii_blocks,
+    counit_blocks,
 )
 from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
-from .linalg import Matrix, hstack, solve, vstack
+from .linalg import Matrix, hstack, solve
 from .repcat import Module
-from .reports import CheckReport
 
 __all__ = [
     "LinearSolutionSpace",
     "linear_space_type_i",
     "linear_space_type_ii",
-    "check_candidate",
     "enumerate_ayd_i",
     "enumerate_ayd_ii",
     "DEFAULT_BUDGET",
@@ -70,172 +74,58 @@ class LinearSolutionSpace:
         return Matrix.column(self.basis.field, vec)
 
 
-def _condition_matrix_from_probe(m: Module, probe) -> Matrix:
-    """Matrix of a map linear in the coaction, by evaluating on elementary maps."""
-    d, n, f = m.dim, m.h.dim, m.field
-    ncoef = d * n * d
-    cols = []
-    zeros = (f.zero(),) * (d * n * d)
-    for pos in range(ncoef):
-        entries = tuple(f.one() if i == pos else f.zero() for i in range(ncoef))
-        elem = Matrix(f, d * n, d, entries)
-        cols.append(Matrix.column(f, probe(elem)))
-    return hstack(cols)
+def _linear_system(m: Module, compat_blocks, with_alpha: bool):
+    """(A, b) with A . vec(x) - b the stacked lhs - rhs of the compatibility
+    blocks, then of the counit blocks, at the coaction x.
 
-
-def _compat_probe_i(m: Module):
-    d, n, f = m.dim, m.h.dim, m.field
-    h = m.h
-    alg = h.algebra
-    s2 = h.s_squared()
-
-    def probe(rho: Matrix):
-        from .ayd import _coaction_nonzeros
-        from .tensors import basis_vec
-
-        nz = _coaction_nonzeros(m, rho)
-        out = []
-        for a in range(n):
-            for mu in range(d):
-                lhs = [f.zero()] * (d * n)
-                for (j, k), c in h.qb.delta_of_basis(a):
-                    aj = m.action[j]
-                    for (nu, b), r in nz[mu]:
-                        hb = alg.mult[k][b]
-                        coeff = c * r
-                        for nu2 in range(d):
-                            x = aj.at(nu2, nu)
-                            if not x:
-                                continue
-                            for l, y in enumerate(hb):
-                                if y:
-                                    lhs[nu2 * n + l] = lhs[nu2 * n + l] + coeff * x * y
-                    ak = m.action[k]
-                    s2j = s2.col(j)
-                    for mu2 in range(d):
-                        z = ak.at(mu2, mu)
-                        if not z:
-                            continue
-                        for (nu, b), r in nz[mu2]:
-                            hb = alg.mul_vec(basis_vec(f, n, b), s2j)
-                            coeff = c * z * r
-                            for l, y in enumerate(hb):
-                                if y:
-                                    lhs[nu * n + l] = lhs[nu * n + l] - coeff * y
-                out.extend(lhs)
-        return tuple(out)
-
-    return probe
-
-
-def _compat_probe_ii(m: Module):
-    from .ayd import _coaction_nonzeros
-    from .qha import delta_tree_matrix
-    from .tensors import basis_vec
-
-    d, n, f = m.dim, m.h.dim, m.field
-    h = m.h
-    alg = h.algebra
-    d3 = delta_tree_matrix(h.qb, (None, (None, None)))
-
-    def probe(lam: Matrix):
-        nz = _coaction_nonzeros(m, lam)
-        out = []
-        for a in range(n):
-            col3 = d3.col(a)
-            aa = m.action[a]
-            for mu in range(d):
-                diff = [f.zero()] * (d * n)
-                for mu2 in range(d):
-                    z = aa.at(mu2, mu)
-                    if not z:
-                        continue
-                    for (nu, b), r in nz[mu2]:
-                        diff[nu * n + b] = diff[nu * n + b] + z * r
-                for flat, c in enumerate(col3):
-                    if not c:
-                        continue
-                    j, rem = flat // (n * n), flat % (n * n)
-                    k, l = rem // n, rem % n
-                    ak = m.action[k]
-                    sj = h.s.col(j)
-                    for (nu, b), r in nz[mu]:
-                        hb = alg.mul_vec(
-                            basis_vec(f, n, l), alg.mul_vec(basis_vec(f, n, b), sj)
-                        )
-                        coeff = c * r
-                        for nu2 in range(d):
-                            x = ak.at(nu2, nu)
-                            if not x:
-                                continue
-                            for l2, y in enumerate(hb):
-                                if y:
-                                    diff[nu2 * n + l2] = diff[nu2 * n + l2] - coeff * x * y
-                out.extend(diff)
-        return tuple(out)
-
-    return probe
-
-
-def _counit_probe(m: Module, with_alpha: bool):
-    from .ayd import _coaction_nonzeros
-
-    d, f = m.dim, m.field
-    h = m.h
-    scale = h.qb.counit.apply(h.alpha)[0] if with_alpha else f.one()
-
-    def probe(coaction: Matrix):
-        nz = _coaction_nonzeros(m, coaction)
-        out = []
-        for mu in range(d):
-            acc = [f.zero()] * d
-            for (nu, b), r in nz[mu]:
-                e = h.qb.counit_of_basis(b)
-                if e:
-                    acc[nu] = acc[nu] + r * e * scale
-            out.extend(acc)
-        return tuple(out)
-
-    return probe
-
-
-def _linear_space(m: Module, compat_probe, with_alpha: bool) -> LinearSolutionSpace:
+    The conditions are affine in x, so with r(x) that stack, column j of A is
+    r(e_j) - r(0) and b = -r(0).
+    """
     d, f = m.dim, m.field
     ncoef = d * m.h.dim * d
-    compat = _condition_matrix_from_probe(m, compat_probe)
-    unit_cond = _condition_matrix_from_probe(m, _counit_probe(m, with_alpha))
-    system = vstack([compat, unit_cond])
-    # homogeneous target for compatibility, identity target for the counit rows
-    target_vec = [f.zero()] * compat.rows
-    for mu in range(d):
-        for nu in range(d):
-            target_vec.append(f.one() if nu == mu else f.zero())
-    sol = solve(system, Matrix.column(f, target_vec))
+    zero, one = f.zero(), f.one()
+
+    def residual(pos) -> list:
+        # only nonzero subtrahends are subtracted, so zero entries stay shared
+        x = Matrix(f, d * m.h.dim, d, tuple(one if i == pos else zero for i in range(ncoef)))
+        out = []
+        for _, lhs, rhs in chain(compat_blocks(m, x), counit_blocks(m, x, with_alpha)):
+            out.extend(l - r if r else l for l, r in zip(lhs, rhs))
+        return out
+
+    base = residual(None)
+    cols = [
+        Matrix.column(f, (y - b if b else y for y, b in zip(residual(pos), base)))
+        for pos in range(ncoef)
+    ]
+    return hstack(cols), Matrix.column(f, (-b if b else b for b in base))
+
+
+def _linear_space(m: Module, compat_blocks, with_alpha: bool) -> LinearSolutionSpace:
+    ncoef = m.dim * m.h.dim * m.dim
+    sol = solve(*_linear_system(m, compat_blocks, with_alpha))
     if sol is None:
-        return LinearSolutionSpace(ncoef, None, Matrix.zeros(f, ncoef, 0))
+        return LinearSolutionSpace(ncoef, None, Matrix.zeros(m.field, ncoef, 0))
     return LinearSolutionSpace(ncoef, sol.particular, sol.kernel)
 
 
 def linear_space_type_i(m: Module) -> LinearSolutionSpace:
     """All rho satisfying the compatibility and counit conditions (type I)."""
-    return _linear_space(m, _compat_probe_i(m), with_alpha=False)
+    return _linear_space(m, compat_i_blocks, with_alpha=False)
 
 
 def linear_space_type_ii(m: Module) -> LinearSolutionSpace:
     """All lambda satisfying the compatibility and counit conditions (type II)."""
-    return _linear_space(m, _compat_probe_ii(m), with_alpha=True)
+    return _linear_space(m, compat_ii_blocks, with_alpha=True)
 
 
-def check_candidate(m: Module, rho: Matrix) -> CheckReport:
-    return check_type_i(AydTypeI(m, rho))
-
-
-def _enumerate(m: Module, space: LinearSolutionSpace, build, full_check, budget: int):
+def _enumerate(m: Module, linear_space, build, full_check, budget: int):
     f = m.field
-    if space.is_empty:
-        return []
     if not isinstance(f, PrimeField):
         raise ShapeError("exhaustive enumeration needs a prime field")
+    space = linear_space(m)
+    if space.is_empty:
+        return []
     e = space.affine_dim
     count = f.p ** e
     if count > budget:
@@ -255,8 +145,8 @@ def _enumerate(m: Module, space: LinearSolutionSpace, build, full_check, budget:
 
 def enumerate_ayd_i(m: Module, budget: int = DEFAULT_BUDGET):
     """All type-I structures on a module over F_p, in lexicographic coordinate order."""
-    return _enumerate(m, linear_space_type_i(m), AydTypeI, check_type_i, budget)
+    return _enumerate(m, linear_space_type_i, AydTypeI, check_type_i, budget)
 
 
 def enumerate_ayd_ii(m: Module, budget: int = DEFAULT_BUDGET):
-    return _enumerate(m, linear_space_type_ii(m), AydTypeII, check_type_ii, budget)
+    return _enumerate(m, linear_space_type_ii, AydTypeII, check_type_ii, budget)

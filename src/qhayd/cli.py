@@ -45,8 +45,10 @@ from .jsonio import (
     matrix_from_json,
     matrix_to_json,
     module_from_json,
+    module_map_to_json,
     module_to_json,
 )
+from .linalg import Matrix
 from .qha import validate
 from .repcat import check_module
 from .reports import CheckReport
@@ -154,8 +156,6 @@ def _cmd_ayd_tau(args, inputs):
     if v.h != t.module.h:
         raise ShapeError("the test module lives over a different algebra")
     tau = tau_from_rho(t, v) if isinstance(t, AydTypeI) else tau_from_lambda(t, v)
-    from .jsonio import module_map_to_json
-
     result = module_map_to_json(tau)
     result["h_linear"] = tau.is_morphism()
     result["source_dim"] = tau.source.dim
@@ -178,8 +178,6 @@ def _cmd_ayd_stability(args, inputs):
     sigma_identity = None
     if t.module.h.phi_is_trivial():
         s = sigma_hopf(t)
-        from .linalg import Matrix
-
         sigma_identity = s.matrix == Matrix.identity(t.module.field, t.module.dim)
         rep.add("sigma-identity", sigma_identity)
     _say(args, rep.format_text(t.module.field.format))
@@ -196,7 +194,11 @@ def _cmd_ayd_solve(args, inputs):
             raise ShapeError(f"module is over {m.field!r}, not {args.over}")
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("QHAYD_BUDGET", DEFAULT_BUDGET))
+        raw = os.environ.get("QHAYD_BUDGET", DEFAULT_BUDGET)
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise ShapeError(f"QHAYD_BUDGET must be an integer, not {raw!r}") from exc
     if args.type == "I":
         points = enumerate_ayd_i(m, budget)
         mats = [p.rho for p in points]

@@ -19,7 +19,6 @@ from .fields import Field, RationalField
 __all__ = [
     "Matrix",
     "Solution",
-    "mat_mul",
     "kron",
     "hstack",
     "vstack",
@@ -172,11 +171,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not x for x in self.entries)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product (shape and field checked)."""
-    return a @ b
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

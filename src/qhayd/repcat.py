@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InconsistentSystemError, ShapeError
-from .linalg import Matrix, hstack, kernel_basis, kron, solve, vstack
+from .linalg import Matrix, hstack, kernel_basis, kron, solve, solve_unique, vstack
 from .qha import QuasiHopfAlgebra
 from .reports import CheckReport
 from .tensors import basis_vec
@@ -95,11 +95,6 @@ class ModuleMap:
 
     def is_morphism(self) -> bool:
         return is_module_morphism(self.matrix, self.source, self.target)
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        if other.target != self.source:
-            raise ShapeError("composition source/target mismatch")
-        return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
 
     @classmethod
     def identity(cls, m: Module) -> "ModuleMap":
@@ -421,8 +416,6 @@ def iota_inverse_apply(g: ModuleMap, v: Module, w: Module) -> ModuleMap:
     gcoords = solve(cod_cols, Matrix.column(h.field, g.matrix.entries))
     if gcoords is None:
         raise InconsistentSystemError("iota inverse needs an H-linear input")
-    from .linalg import solve_unique
-
     dcoords = solve_unique(mat, gcoords.particular)
     acc = Matrix.zeros(h.field, 1, v.dim * w.dim)
     for c, b in zip(dcoords.col(0), dom):

@@ -13,22 +13,14 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatchError, ShapeError
 from .fields import Field
-from .linalg import Matrix
 
 __all__ = [
     "Tensor",
     "flat_index",
     "unflat_index",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
     "vec_zero",
     "basis_vec",
     "vec_kron",
-    "vec_is_zero",
-    "slot_apply",
-    "slot_multiply",
-    "reshape_as_matrix",
 ]
 
 
@@ -76,10 +68,6 @@ class Tensor:
     def dims(self):
         return (self.base_dim,) * self.order
 
-    @classmethod
-    def zeros(cls, field: Field, base_dim: int, order: int) -> "Tensor":
-        return cls(field, base_dim, order, (field.zero(),) * (base_dim ** order))
-
     def at(self, idx) -> object:
         return self.coeffs[flat_index(idx, self.dims)]
 
@@ -103,18 +91,6 @@ def basis_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(field.one() if j == i else z for j in range(n))
 
 
-def vec_add(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def vec_kron(u, v) -> tuple:
     """Tensor product of coefficient vectors, left slot most significant."""
     out = []
@@ -125,98 +101,3 @@ def vec_kron(u, v) -> tuple:
             zero = a
             out.extend(zero for _ in v)
     return tuple(out)
-
-
-def vec_is_zero(u) -> bool:
-    return all(not a for a in u)
-
-
-def slot_apply(mat: Matrix, slot: int, dims, vec) -> tuple:
-    """Apply a linear map to one slot of a flat vector on V_1 (x) ... (x) V_k.
-
-    ``dims`` are the current slot sizes; the slot's size must equal
-    ``mat.cols`` and is replaced by ``mat.rows`` in the result.
-    """
-    if not 0 <= slot < len(dims):
-        raise ShapeError(f"slot {slot} out of range")
-    if dims[slot] != mat.cols:
-        raise ShapeError(f"slot size {dims[slot]} != map source dim {mat.cols}")
-    left = 1
-    for d in dims[:slot]:
-        left *= d
-    right = 1
-    for d in dims[slot + 1 :]:
-        right *= d
-    src, dst = mat.cols, mat.rows
-    z = mat.field.zero()
-    out = [z] * (left * dst * right)
-    for l in range(left):
-        for s in range(src):
-            base_in = (l * src + s) * right
-            for r in range(right):
-                x = vec[base_in + r]
-                if not x:
-                    continue
-                for t in range(dst):
-                    m = mat.at(t, s)
-                    if m:
-                        out[(l * dst + t) * right + r] = out[(l * dst + t) * right + r] + m * x
-    return tuple(out)
-
-
-def slot_multiply(bilinear: Matrix, slot: int, dims, vec) -> tuple:
-    """Collapse slots (slot, slot+1) through a bilinear map.
-
-    ``bilinear`` is the d_out x (d_a * d_b) matrix of a map V_a (x) V_b -> W,
-    e.g. an algebra's multiplication tensor in matrix form.
-    """
-    if not 0 <= slot < len(dims) - 1:
-        raise ShapeError(f"slot pair ({slot}, {slot + 1}) out of range")
-    da, db = dims[slot], dims[slot + 1]
-    if bilinear.cols != da * db:
-        raise ShapeError(
-            f"bilinear map expects source dim {bilinear.cols}, slots give {da * db}"
-        )
-    left = 1
-    for d in dims[:slot]:
-        left *= d
-    right = 1
-    for d in dims[slot + 2 :]:
-        right *= d
-    dst = bilinear.rows
-    z = bilinear.field.zero()
-    out = [z] * (left * dst * right)
-    for l in range(left):
-        for a in range(da):
-            for b in range(db):
-                base_in = ((l * da + a) * db + b) * right
-                col = a * db + b
-                for r in range(right):
-                    x = vec[base_in + r]
-                    if not x:
-                        continue
-                    for t in range(dst):
-                        m = bilinear.at(t, col)
-                        if m:
-                            pos = (l * dst + t) * right + r
-                            out[pos] = out[pos] + m * x
-    return tuple(out)
-
-
-def reshape_as_matrix(field: Field, vec, dims, split: int) -> Matrix:
-    """Reinterpret a flat tensor as the matrix grouping slots < split as rows.
-
-    The flat layout is unchanged: this is pure index bookkeeping under the
-    fixed leftmost-most-significant convention.
-    """
-    if not 0 <= split <= len(dims):
-        raise ShapeError(f"split {split} out of range")
-    rows = 1
-    for d in dims[:split]:
-        rows *= d
-    cols = 1
-    for d in dims[split:]:
-        cols *= d
-    if len(vec) != rows * cols:
-        raise ShapeError("vector length does not match the slot sizes")
-    return Matrix(field, rows, cols, tuple(vec))

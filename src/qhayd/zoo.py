@@ -32,7 +32,6 @@ __all__ = [
     "BundledAyd",
     "zoo_names",
     "build_entry",
-    "all_entries",
 ]
 
 
@@ -528,7 +527,3 @@ def build_entry(name: str, field: Optional[Field] = None) -> ZooEntry:
         raise ShapeError(f"unknown zoo entry {name!r}; known: {', '.join(zoo_names())}")
     builder, default_field = _BUILDERS[name]
     return builder(field if field is not None else default_field)
-
-
-def all_entries():
-    return [build_entry(name) for name in zoo_names()]

@@ -10,6 +10,7 @@ from qhayd.ayd import (
     check_type_i,
     check_type_ii,
     classical_comodule_matrices,
+    compat_ii_blocks,
     convert_i_to_ii,
     convert_ii_to_i,
     d_apply,
@@ -24,11 +25,20 @@ from qhayd.ayd import (
     tau_from_lambda,
     tau_from_rho,
 )
+from qhayd.ayd_solve import linear_space_type_ii
 from qhayd.errors import InconsistentSystemError, ShapeError
 from qhayd.fields import PrimeField
 from qhayd.linalg import Matrix
-from qhayd.repcat import check_module, hom_space, regular_module, tensor, trivial_module
+from qhayd.repcat import (
+    check_module,
+    hom_space,
+    is_module_morphism,
+    regular_module,
+    tensor,
+    trivial_module,
+)
 from qhayd.tensors import basis_vec
+from qhayd.zoo import build_entry
 
 from conftest import entry
 
@@ -306,3 +316,76 @@ def test_d_apply_rank_deficient_dual(h4):
     zero_rho = Matrix.zeros(h4.algebra.field, 4, 1)
     data = d_apply(AydTypeI(m, zero_rho))
     assert not data.tau_invertible and not data.dual_tau_invertible
+
+
+# -- the linear conditions, defined once as blocks ------------------------------
+
+# (entry, field) pairs for the block tests: every zoo algebra over its own
+# field and over the primes it admits
+BLOCK_CASES = [(name, None) for name in ("h4", "k2w", "k3w", "s3", "z2", "z3")] + [
+    (name, PrimeField(p)) for name in ("h4", "k2w", "s3", "z2", "z3") for p in (5, 7)
+] + [("k3w", PrimeField(7))]
+
+
+def _block_modules():
+    """Zoo modules with at most 150 coaction coefficients over F_p and 27 over
+    Q (the rational type-II space of h4's regular module alone takes seconds)."""
+    for name, field in BLOCK_CASES:
+        e = build_entry(name, field)
+        limit = 150 if e.algebra.field.characteristic else 27
+        for mname, m in sorted(e.modules.items()):
+            if m.dim * m.h.dim * m.dim <= limit:
+                yield f"{name}/{m.field!r}/{mname}", m
+
+
+def test_elementwise_compat_ii_iff_lambda_is_module_morphism():
+    rng = random.Random(11)
+    seen = set()
+    for label, m in _block_modules():
+        f = m.field
+        target = r_tensor_module(m)
+        space = linear_space_type_ii(m)
+        lams = []
+        for _ in range(3):
+            lams.append(tuple(f.from_int(rng.randrange(-2, 3)) if rng.random() < 0.4
+                              else f.zero() for _ in range(space.ambient_dim)))
+        if not space.is_empty:
+            for _ in range(3):
+                coeffs = [f.from_int(rng.randrange(-2, 3)) for _ in range(space.affine_dim)]
+                lams.append(space.point(coeffs).entries)
+        for entries in lams:
+            lam = Matrix(f, m.dim * m.h.dim, m.dim, entries)
+            elementwise = all(lhs == rhs for _, lhs, rhs in compat_ii_blocks(m, lam))
+            assert elementwise == is_module_morphism(lam, m, target), label
+            seen.add(elementwise)
+    assert seen == {True, False}
+
+
+def test_compat_and_counit_witnesses_keep_their_locations(h4):
+    triv = h4.modules["trivial"]
+    f = triv.field
+
+    def coaction(*xs):
+        return Matrix.from_rows(f, [[Fraction(x)] for x in xs])
+
+    # lambda(m) = m (x) 1 fails the type-II compatibility at (h, m) = (x, m_0)
+    rep = check_type_ii(AydTypeII(triv, coaction(1, 0, 0, 0)))
+    assert rep.to_json(f.format) == [
+        {"name": "ayd-compatibility-ii", "passed": False,
+         "witness": {"location": [2, 0], "lhs": ["0", "0", "0", "0"],
+                     "rhs": ["0", "0", "0", "-2"]}},
+        {"name": "quasi-comodule-ii", "passed": True},
+        {"name": "comodule-unit-ii", "passed": True},
+    ]
+    # m (x) 1 on the regular module with column 1 zeroed fails the counit
+    # condition at m_1, in both types
+    reg = h4.modules["regular"]
+    rows = [[f.zero()] * 4 for _ in range(16)]
+    for mu in (0, 2, 3):
+        rows[mu * 4][mu] = f.one()
+    x = Matrix.from_rows(f, rows)
+    zero, one = f.zero(), f.one()
+    for rep, name in ((check_type_i(AydTypeI(reg, x)), "comodule-unit"),
+                      (check_type_ii(AydTypeII(reg, x)), "comodule-unit-ii")):
+        w = rep.item(name).witness
+        assert (w.location, w.lhs, w.rhs) == ((1,), (zero,) * 4, (zero, one, zero, zero))

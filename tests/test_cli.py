@@ -98,6 +98,13 @@ def test_solve_field_mismatch(emitted):
     assert code == 2
 
 
+def test_solve_malformed_budget_env(emitted, monkeypatch, capsys):
+    monkeypatch.setenv("QHAYD_BUDGET", "abc")
+    code = main(["ayd", "solve", "--type", "I", "--module", str(emitted / "module_trivial.json")])
+    assert code == 2
+    assert "error: QHAYD_BUDGET" in capsys.readouterr().err
+
+
 def test_dsl_check(emitted, tmp_path, capsys):
     from qhayd.dsl.corpus import corpus_text
 

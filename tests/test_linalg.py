@@ -10,7 +10,6 @@ from qhayd.linalg import (
     inverse,
     kernel_basis,
     kron,
-    mat_mul,
     rank,
     solve,
     solve_unique,
@@ -29,27 +28,27 @@ def fmat(field, rows):
 
 def test_identity_multiplication():
     m = qmat([[1, 2], [3, 4]])
-    assert mat_mul(Matrix.identity(QQ, 2), m) == m
-    assert mat_mul(m, Matrix.identity(QQ, 2)) == m
+    assert Matrix.identity(QQ, 2) @ m == m
+    assert m @ Matrix.identity(QQ, 2) == m
 
 
 def test_f5_identity_case():
     m = fmat(F5, [[2, 3], [1, 4]])
-    assert mat_mul(m, Matrix.identity(F5, 2)) == m
+    assert m @ Matrix.identity(F5, 2) == m
 
 
 def test_rational_product_half_times_two_thirds():
     # hand multiplication: 1/2 * 2/3 = 1/3
     a = qmat([["1/2"]])
     b = qmat([["2/3"]])
-    assert mat_mul(a, b) == qmat([["1/3"]])
+    assert a @ b == qmat([["1/3"]])
 
 
 def test_shape_and_field_mismatch_errors():
     with pytest.raises(ShapeError):
-        mat_mul(qmat([[1, 2]]), qmat([[1, 2]]))
+        qmat([[1, 2]]) @ qmat([[1, 2]])
     with pytest.raises(FieldMismatchError):
-        mat_mul(qmat([[1]]), fmat(F5, [[1]]))
+        qmat([[1]]) @ fmat(F5, [[1]])
 
 
 def test_kernel_of_zero_matrix_spans_everything():
@@ -141,7 +140,7 @@ def test_rank_nullity_over_qq(a):
     k = kernel_basis(a)
     assert rank(a) + k.cols == a.cols
     if k.cols:
-        assert mat_mul(a, k).is_zero()
+        assert (a @ k).is_zero()
         assert rank(k) == k.cols
 
 
@@ -151,7 +150,7 @@ def test_rank_nullity_over_f5(a):
     k = kernel_basis(a)
     assert rank(a) + k.cols == a.cols
     if k.cols:
-        assert mat_mul(a, k).is_zero()
+        assert (a @ k).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,14 +159,14 @@ def test_solve_recovers_constructed_solution(a, seed):
     x = Matrix.from_rows(
         QQ, [[Fraction(seed + j - i)] for i, j in zip(range(a.cols), range(a.cols))]
     )
-    b = mat_mul(a, x)
+    b = a @ x
     sol = solve(a, b)
     assert sol is not None
-    assert mat_mul(a, sol.particular) == b
+    assert a @ sol.particular == b
 
 
 def test_inverse():
     a = qmat([[2, 1], [1, 1]])
     ainv = inverse(a)
-    assert mat_mul(a, ainv) == Matrix.identity(QQ, 2)
+    assert a @ ainv == Matrix.identity(QQ, 2)
     assert inverse(qmat([[1, 1], [1, 1]])) is None

@@ -78,8 +78,7 @@ def test_iterated_coproduct_grouplike_both_bracketings(h4):
     g = basis_vec(h.field, 4, 1)
     left = iterated_coproduct(h, g, left_comb(3))
     right = iterated_coproduct(h, g, right_comb(3))
-    expected = Tensor.zeros(h.field, 4, 3).coeffs
-    expected = list(expected)
+    expected = [h.field.zero()] * 4 ** 3
     expected[(1 * 4 + 1) * 4 + 1] = h.field.one()
     assert left.coeffs == tuple(expected)
     assert right.coeffs == tuple(expected)

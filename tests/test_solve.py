@@ -1,10 +1,20 @@
-from itertools import product
+import random
+from itertools import chain, product
 
 import pytest
 
-from qhayd.ayd import AydTypeI, check_type_i, check_type_ii, convert_i_to_ii
+import qhayd.ayd_solve as ayd_solve
+from qhayd.ayd import (
+    AydTypeI,
+    check_type_i,
+    check_type_ii,
+    compat_i_blocks,
+    compat_ii_blocks,
+    convert_i_to_ii,
+    counit_blocks,
+)
 from qhayd.ayd_solve import (
-    check_candidate,
+    _linear_system,
     enumerate_ayd_i,
     enumerate_ayd_ii,
     linear_space_type_i,
@@ -69,7 +79,7 @@ def test_linear_space_contains_bundled_points(h4):
 def test_linear_space_excludes_bad_point(h4):
     triv = h4.modules["trivial"]
     bad = Matrix.from_rows(QQ, [[QQ.one()], [QQ.zero()], [QQ.zero()], [QQ.zero()]])
-    rep = check_candidate(triv, bad)
+    rep = check_type_i(AydTypeI(triv, bad))
     assert not rep.passed
 
 
@@ -157,3 +167,34 @@ def test_deterministic_order():
     a = [tuple(x.residue for x in p.rho.entries) for p in enumerate_ayd_i(triv)]
     b = [tuple(x.residue for x in p.rho.entries) for p in enumerate_ayd_i(triv)]
     assert a == b == sorted(a)
+
+
+def test_solver_system_is_the_stacked_blocks():
+    """A . vec(x) - b equals the stacked lhs - rhs of the checker's blocks."""
+    rng = random.Random(5)
+    for name, field in (("h4", None), ("k2w", F3), ("z3", PrimeField(7)), ("s3", PrimeField(5))):
+        e = build_entry(name, field)
+        for mname in ("trivial", "regular"):
+            m = e.modules[mname]
+            f = m.field
+            for compat_blocks, with_alpha in ((compat_i_blocks, False), (compat_ii_blocks, True)):
+                a, b = _linear_system(m, compat_blocks, with_alpha)
+                for _ in range(2):
+                    x = Matrix(f, m.dim * m.h.dim, m.dim,
+                               tuple(f.from_int(rng.randrange(-3, 4)) for _ in range(a.cols)))
+                    blocks = chain(compat_blocks(m, x), counit_blocks(m, x, with_alpha))
+                    stacked = tuple(l - r for _, lhs, rhs in blocks for l, r in zip(lhs, rhs))
+                    assert (a @ Matrix.column(f, x.entries) - b).col(0) == stacked, (name, mname)
+
+
+def test_enumeration_refuses_rational_field_before_solving(monkeypatch):
+    def no_solve(m):
+        raise AssertionError("linear space computed for a non-prime field")
+
+    monkeypatch.setattr(ayd_solve, "linear_space_type_i", no_solve)
+    monkeypatch.setattr(ayd_solve, "linear_space_type_ii", no_solve)
+    reg = build_entry("s3").modules["regular"]
+    with pytest.raises(ShapeError):
+        enumerate_ayd_i(reg)
+    with pytest.raises(ShapeError):
+        enumerate_ayd_ii(reg)

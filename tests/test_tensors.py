@@ -5,12 +5,9 @@ import pytest
 
 from qhayd.errors import ShapeError
 from qhayd.fields import QQ
-from qhayd.linalg import Matrix
 from qhayd.tensors import (
     Tensor,
-    basis_vec,
     flat_index,
-    slot_apply,
     unflat_index,
     vec_kron,
 )
@@ -34,18 +31,6 @@ def test_tensor_shape_guard():
         Tensor(QQ, 2, 3, (QQ.zero(),) * 7)
 
 
-def test_slot_apply_on_rank_one_tensor():
-    # S applied in slot 0 of a (x) b gives S(a) (x) b
-    s = Matrix.from_rows(QQ, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-    a = basis_vec(QQ, 2, 0)
-    b = (Fraction(2), Fraction(3))
-    v = vec_kron(a, b)
-    out = slot_apply(s, 0, (2, 2), v)
-    assert out == vec_kron(s.apply(a), b)
-    out1 = slot_apply(s, 1, (2, 2), v)
-    assert out1 == vec_kron(a, s.apply(b))
-
-
 def test_vec_kron_matches_flat_convention():
     a = (Fraction(1), Fraction(2))
     b = (Fraction(3), Fraction(5), Fraction(7))
@@ -58,38 +43,3 @@ def test_vec_kron_matches_flat_convention():
 def test_tensor_nonzeros():
     t = Tensor(QQ, 2, 2, (Fraction(0), Fraction(1), Fraction(0), Fraction(4)))
     assert t.nonzeros() == [((0, 1), Fraction(1)), ((1, 1), Fraction(4))]
-
-
-def test_slot_multiply_with_group_multiplication():
-    # collapse two slots through the Z/2 group multiplication tensor
-    from qhayd.zoo import build_entry
-
-    h = build_entry("z2").algebra
-    mu_rows = []
-    for l in range(2):
-        row = []
-        for i in range(2):
-            for j in range(2):
-                row.append(h.algebra.mult[i][j][l])
-        mu_rows.append(row)
-    mu = Matrix.from_rows(QQ, mu_rows)
-    from qhayd.tensors import slot_multiply, vec_kron, basis_vec
-
-    g = basis_vec(QQ, 2, 1)
-    v = vec_kron(g, vec_kron(g, g))  # g (x) g (x) g
-    out = slot_multiply(mu, 0, (2, 2, 2), v)
-    # g*g = 1, so the result is 1 (x) g
-    assert out == vec_kron(basis_vec(QQ, 2, 0), g)
-
-
-def test_reshape_as_matrix_round_trip():
-    from qhayd.tensors import reshape_as_matrix
-
-    vec = tuple(Fraction(i) for i in range(12))
-    m = reshape_as_matrix(QQ, vec, (2, 2, 3), 1)
-    assert (m.rows, m.cols) == (2, 6)
-    assert m.entries == vec  # pure reinterpretation
-    m2 = reshape_as_matrix(QQ, vec, (2, 2, 3), 2)
-    assert (m2.rows, m2.cols) == (4, 3)
-    with pytest.raises(ShapeError):
-        reshape_as_matrix(QQ, vec, (2, 2, 3), 5)
