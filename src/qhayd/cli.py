@@ -64,7 +64,11 @@ def _say(args, text):
 
 
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ShapeError(f"cannot read {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read_doc(path, inputs):
@@ -215,7 +219,10 @@ def _cmd_ayd_solve(args, inputs):
 
 
 def _cmd_dsl_check(args, inputs):
-    text = Path(args.eq).read_text()
+    try:
+        text = Path(args.eq).read_text()
+    except OSError as exc:
+        raise ShapeError(f"cannot read {args.eq}: {exc}") from exc
     inputs[str(args.eq)] = hashlib.sha256(text.encode()).hexdigest()
     doc = load_swd(text)
     if doc.rhs is None:

@@ -1,20 +1,18 @@
-"""Dense exact linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
-Matrices are immutable and row-major.  Elimination over the rationals is
-fraction-free (Bareiss) after clearing row denominators, which keeps
-intermediate entries integral; over F_p plain Gauss-Jordan is used.
-Target dimensions are small (<= a few hundred rows), so everything is dense.
+Matrices are immutable, dense and row-major.  Elimination (``rref``, and
+through it ``solve``, ``kernel_basis`` and ``inverse``) is one sparse
+Gauss-Jordan shared by both fields: the systems it meets are mostly zeros,
+so it works on the nonzero entries of each row only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
-from .fields import Field, RationalField
+from .fields import Field
 
 __all__ = [
     "Matrix",
@@ -93,9 +91,6 @@ class Matrix:
 
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def rows_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -219,96 +214,52 @@ def vstack(mats) -> Matrix:
 # -- elimination ------------------------------------------------------------
 
 
-def _clear_denominators(row):
-    """Scale a row of Fractions to integers (returned as Fractions with denominator 1)."""
-    lcm = 1
-    for x in row:
-        d = x.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    if lcm == 1:
-        return row
-    c = Fraction(lcm)
-    return [x * c for x in row]
-
-
-def _rref_bareiss(field, rows):
-    """Fraction-free forward elimination, then exact back substitution to RREF."""
-    rows = [_clear_denominators(list(r)) for r in rows]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    pivots = []
-    prev = Fraction(1)
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, n):
-            fi = rows[i][c]
-            for j in range(m):
-                rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]) / prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    # normalize pivot rows and eliminate above pivots
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        piv = rows[k][c]
-        rows[k] = [x / piv for x in rows[k]]
-        for i in range(k):
-            f = rows[i][c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return rows, pivots
-
-
-def _rref_modp(field, rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
-
-
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    if a.rows == 0:
-        return a, ()
-    if isinstance(a.field, RationalField):
-        rows, pivots = _rref_bareiss(a.field, a.rows_list())
-    else:
-        rows, pivots = _rref_modp(a.field, a.rows_list())
-    return Matrix.from_rows(a.field, rows), tuple(pivots)
+    """Reduced row echelon form and pivot column indices.
+
+    Sparse Gauss-Jordan over rows held as ``{col: value}``: pivots are taken
+    lowest column first, among the candidate rows the one with the fewest
+    nonzeros, and each new pivot row is cleared from every other row.  The
+    same code serves every field; the RREF is unique, so the row choice
+    changes only the work done, never the result.
+    """
+    field = a.field
+    pending = []
+    for i in range(a.rows):
+        row = {j: x for j, x in enumerate(a.row(i)) if x}
+        if row:
+            pending.append(row)
+    done = []  # reduced pivot rows, in pivot order
+    pivots = []
+    one = field.one()
+    for c in range(a.cols):
+        if not pending:
+            break
+        cands = [k for k, row in enumerate(pending) if c in row]
+        if not cands:
+            continue
+        prow = pending.pop(min(cands, key=lambda k: len(pending[k])))
+        inv = one / prow[c]
+        prow = {j: x * inv for j, x in prow.items()}
+        for row in done + pending:
+            f = row.get(c)
+            if f:
+                for j, x in prow.items():
+                    y = row.get(j)
+                    y = -(f * x) if y is None else y - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        pending = [row for row in pending if row]
+        done.append(prow)
+        pivots.append(c)
+    z = field.zero()
+    flat = [z] * (a.rows * a.cols)
+    for r, row in enumerate(done):
+        for j, x in row.items():
+            flat[r * a.cols + j] = x
+    return Matrix(field, a.rows, a.cols, tuple(flat)), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
@@ -317,20 +268,7 @@ def rank(a: Matrix) -> int:
 
 def kernel_basis(a: Matrix) -> Matrix:
     """Columns span the null space of a; column count = cols - rank."""
-    red, pivots = rref(a)
-    piv_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in piv_set]
-    z, o = a.field.zero(), a.field.one()
-    cols = []
-    for f in free:
-        v = [z] * a.cols
-        v[f] = o
-        for r, c in enumerate(pivots):
-            v[c] = -red.at(r, f)
-        cols.append(v)
-    if not cols:
-        return Matrix.zeros(a.field, a.cols, 0)
-    return Matrix.from_rows(a.field, [[col[i] for col in cols] for i in range(a.cols)])
+    return solve(a, Matrix.zeros(a.field, a.rows, 0)).kernel
 
 
 @dataclass(frozen=True)
@@ -342,24 +280,30 @@ class Solution:
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Solution]:
-    """Solve a @ X = b; None if inconsistent."""
+    """Solve a @ X = b; None if inconsistent.
+
+    One elimination: on a consistent system the left block of the RREF of
+    ``[a | b]`` is the RREF of ``a``, so it also gives the kernel.
+    """
     a._check_same_field(b)
     if a.rows != b.rows:
         raise ShapeError(f"solve: {a.rows} equations vs {b.rows} right-hand rows")
-    aug = hstack([a, b])
-    red, pivots = rref(aug)
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    z = a.field.zero()
-    part = [[z] * b.cols for _ in range(a.cols)]
+    red, pivots = rref(hstack([a, b]))
+    n, m = a.cols, b.cols
+    if pivots and pivots[-1] >= n:
+        return None
+    z, o = a.field.zero(), a.field.one()
+    part = [z] * (n * m)
     for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            part[c][j] = red.at(r, a.cols + j)
-    return Solution(
-        particular=Matrix.from_rows(a.field, part) if a.cols else Matrix.zeros(a.field, 0, b.cols),
-        kernel=kernel_basis(a),
-    )
+        part[c * m : (c + 1) * m] = red.row(r)[n:]
+    free = sorted(set(range(n)) - set(pivots))
+    k = len(free)
+    kern = [z] * (n * k)
+    for t, f in enumerate(free):
+        kern[f * k + t] = o
+        for r, c in enumerate(pivots):
+            kern[c * k + t] = -red.at(r, f)
+    return Solution(Matrix(a.field, n, m, tuple(part)), Matrix(a.field, n, k, tuple(kern)))
 
 
 def solve_unique(a: Matrix, b: Matrix) -> Matrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 from .errors import InconsistentSystemError, ShapeError
 from .fields import Field
@@ -316,13 +317,21 @@ def make_quasi_hopf(
     return QuasiHopfAlgebra(qb, s, s_inv, tuple(alpha), tuple(beta))
 
 
+def _left_mult_matrix_3(alg: Algebra, u: Tensor) -> Matrix:
+    """Left multiplication by u on H^(x)3; column ``idx`` is u * e_idx."""
+    n, dims = alg.dim, (alg.dim,) * 3
+    u_sp, one = dict(u.nonzeros()), alg.field.one()
+    cols = [
+        vec_from_sparse(alg.field, alg.power_mul(u_sp, {idx: one}, 3), dims)
+        for idx in product(range(n), repeat=3)
+    ]
+    return Matrix.from_rows(alg.field, cols).transpose()
+
+
 def _invert_associator(alg: Algebra, phi: Tensor) -> Tensor:
     """Invert Phi inside the n^3-dimensional algebra H^(x)3."""
     n = alg.dim
-    lmats = [alg.left_mult_matrix(basis_vec(alg.field, n, i)) for i in range(n)]
-    left = Matrix.zeros(alg.field, n**3, n**3)
-    for (i, j, k), c in phi.nonzeros():
-        left = left + kron(kron(lmats[i], lmats[j]), lmats[k]).scale(c)
+    left = _left_mult_matrix_3(alg, phi)
     unit_sp = sparse_from_vec(alg.unit, (n,))
     target = vec_from_sparse(alg.field, sparse_kron(sparse_kron(unit_sp, unit_sp), unit_sp), (n, n, n))
     try:

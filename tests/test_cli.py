@@ -139,6 +139,24 @@ def test_dsl_check_rejects_bad_syntax(tmp_path):
     assert main(["dsl", "check", "--eq", str(eq), "--ctx", str(ctx)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{missing}"],
+    ["ayd", "check", "{missing}"],
+    ["dsl", "check", "--eq", "{missing}", "--ctx", "{ctx}"],
+    ["dsl", "check", "--eq", "{eq}", "--ctx", "{missing}"],
+])
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    eq = tmp_path / "eq.swd"
+    eq.write_text("var h : algebra\nh = h")
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(dump_json({"algebra": {"field": {"type": "Q"}}}))
+    missing = tmp_path / "nonexist.json"
+    argv = [a.format(missing=missing, eq=eq, ctx=ctx) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read {missing}" in err
+
+
 def test_json_reports_are_byte_identical(emitted, capsys):
     main(["validate", str(emitted / "algebra.json"), "--json"])
     first = capsys.readouterr().out

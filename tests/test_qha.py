@@ -4,8 +4,10 @@ import pytest
 
 from qhayd.errors import ShapeError
 from qhayd.fields import QQ, PrimeField
-from qhayd.linalg import Matrix
+from qhayd.linalg import Matrix, kron
 from qhayd.qha import (
+    _invert_associator,
+    _left_mult_matrix_3,
     antipode,
     antipode_inv,
     check_antipode,
@@ -20,6 +22,8 @@ from qhayd.qha import (
     left_comb,
     mul,
     right_comb,
+    sparse_from_vec,
+    sparse_kron,
     tree_leaves,
     validate,
 )
@@ -200,3 +204,32 @@ def test_individual_checkers_match_validate(h4):
     assert check_counit(h.qb).passed
     assert check_phi_counit(h.qb).passed
     assert check_antipode(h).passed
+
+
+def _kron_left_matrix(alg, t):
+    """Left multiplication by t on H^(x)3 as a sum of Kronecker products (oracle)."""
+    n = alg.dim
+    lmats = [alg.left_mult_matrix(basis_vec(alg.field, n, i)) for i in range(n)]
+    left = Matrix.zeros(alg.field, n**3, n**3)
+    for (i, j, k), c in t.nonzeros():
+        left = left + kron(kron(lmats[i], lmats[j]), lmats[k]).scale(c)
+    return left
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "h4", "k2w", "k3w"])
+def test_associator_left_matrix_matches_kronecker_sum(name):
+    h = entry(name).algebra
+    for t in (h.phi, h.phi_inv):
+        assert _left_mult_matrix_3(h.algebra, t) == _kron_left_matrix(h.algebra, t)
+
+
+def test_computed_associator_inverse_is_two_sided(zoo_entry):
+    h = zoo_entry.algebra
+    alg, n = h.algebra, h.dim
+    phi_inv = _invert_associator(alg, h.phi)
+    assert phi_inv == h.phi_inv
+    unit_sp = sparse_from_vec(alg.unit, (n,))
+    triple = sparse_kron(sparse_kron(unit_sp, unit_sp), unit_sp)
+    phi_sp, inv_sp = h.qb.phi_sparse(), dict(phi_inv.nonzeros())
+    assert alg.power_mul(phi_sp, inv_sp, 3) == triple
+    assert alg.power_mul(inv_sp, phi_sp, 3) == triple
