@@ -155,6 +155,12 @@ def r_tensor_module(m: Module) -> Module:
 def tau_from_rho(t: AydTypeI, v: Module) -> ModuleMap:
     """tau_V(v (x) m) = m<0> (x) m<1> v."""
     m = t.module
+    return ModuleMap(tensor(sharp(v), m), tensor(m, v), _tau_rho_matrix(t, v))
+
+
+def _tau_rho_matrix(t: AydTypeI, v: Module) -> Matrix:
+    """The matrix of ``tau_from_rho``, without building its source and target."""
+    m = t.module
     d, dv, f = m.dim, v.dim, m.field
     nz = _coaction_nonzeros(m, t.rho)
     entries = [f.zero()] * (d * dv * dv * d)
@@ -168,8 +174,7 @@ def tau_from_rho(t: AydTypeI, v: Module) -> ModuleMap:
                     x = av.at(jv, iv)
                     if x:
                         entries[row + iv * d + mu] = entries[row + iv * d + mu] + c * x
-    mat = Matrix(f, d * dv, dv * d, tuple(entries))
-    return ModuleMap(tensor(sharp(v), m), tensor(m, v), mat)
+    return Matrix(f, d * dv, dv * d, tuple(entries))
 
 
 def rho_from_tau(b: HalfBraiding) -> AydTypeI:
@@ -189,18 +194,24 @@ def rho_from_tau(b: HalfBraiding) -> AydTypeI:
 
 def tau_from_lambda(t: AydTypeII, v: Module) -> ModuleMap:
     """tau_V(v (x) m) = R^1 m[0] (x) R^2 m[1] S(Q) S(alpha) S^2(P) v."""
+    m = t.module
+    return ModuleMap(tensor(sharp(v), m), tensor(m, v), _tau_lambda_matrix(t, v))
+
+
+def _tau_lambda_matrix(t: AydTypeII, v: Module) -> Matrix:
+    """The matrix of ``tau_from_lambda``, without building its source and target."""
     m, h = t.module, t.module.h
     alg = h.algebra
     d, dv, n, f = m.dim, v.dim, h.dim, m.field
     nz = _coaction_nonzeros(m, t.lam)
     s_alpha = h.s.apply(h.alpha)
-    out = Matrix.zeros(f, d * dv, dv * d)
+    s2 = h.s_squared()
+    cols = dv * d
+    entries = [f.zero()] * (d * dv * cols)
     for (i, j, k), c in h.phi_inv.nonzeros():
-        kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, h.s_squared().col(i)))
+        kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
         for (k1, k2), c2 in h.qb.delta_of_basis(k):
             am = m.action[k1]
-            entries = [f.zero()] * (d * dv * dv * d)
-            cols = dv * d
             for mu in range(d):
                 for (nu, b), r in nz[mu]:
                     wel = alg.mul_vec(
@@ -220,8 +231,7 @@ def tau_from_lambda(t: AydTypeII, v: Module) -> ModuleMap:
                                     entries[row + iv * d + mu] = (
                                         entries[row + iv * d + mu] + coeff * x * y
                                     )
-            out = out + Matrix(f, d * dv, dv * d, tuple(entries))
-    return ModuleMap(tensor(sharp(v), m), tensor(m, v), out)
+    return Matrix(f, d * dv, cols, tuple(entries))
 
 
 def lambda_from_tau(b: HalfBraiding) -> AydTypeII:
@@ -241,8 +251,8 @@ def lambda_from_tau(b: HalfBraiding) -> AydTypeII:
                         for c in range(d)
                     ),
                 )
-                tau = tau_from_lambda(AydTypeII(m, elem), reg)
-                cols.append(Matrix.column(f, tau.matrix.entries))
+                tau = _tau_lambda_matrix(AydTypeII(m, elem), reg)
+                cols.append(Matrix.column(f, tau.entries))
     sys = hstack(cols)
     target = Matrix.column(f, b.tau_h.entries)
     sol = solve(sys, target)
@@ -378,7 +388,7 @@ def _first_failure(rep: CheckReport, name: str, blocks):
 def check_type_i(t: AydTypeI) -> CheckReport:
     rep = CheckReport()
     _first_failure(rep, "ayd-compatibility", compat_i_blocks(t.module, t.rho))
-    rep.extend(_check_quasi_comodule(t, "quasi-comodule", tau_from_rho))
+    rep.extend(_check_quasi_comodule(t, "quasi-comodule"))
     _first_failure(rep, "comodule-unit", counit_blocks(t.module, t.rho, with_alpha=False))
     return rep
 
@@ -386,19 +396,20 @@ def check_type_i(t: AydTypeI) -> CheckReport:
 def check_type_ii(t: AydTypeII) -> CheckReport:
     rep = CheckReport()
     _first_failure(rep, "ayd-compatibility-ii", compat_ii_blocks(t.module, t.lam))
-    rep.extend(_check_quasi_comodule(t, "quasi-comodule-ii", tau_from_lambda))
+    rep.extend(_check_quasi_comodule(t, "quasi-comodule-ii"))
     _first_failure(rep, "comodule-unit-ii", counit_blocks(t.module, t.lam, with_alpha=True))
     return rep
 
 
-def _hexagon_composites(t, v: Module, w: Module, tau_builder):
+def _hexagon_composites(t, v: Module, w: Module):
     """The two composites V# (x) W# (x) M -> M (x) V (x) W around the hexagon."""
     m = t.module
     h = m.h
     phi_inv_nz = h.phi_inv.nonzeros()
-    tau_v = tau_builder(t, v).matrix
-    tau_w = tau_builder(t, w).matrix
-    tau_vw = tau_builder(t, tensor(v, w)).matrix
+    tau = _tau_rho_matrix if isinstance(t, AydTypeI) else _tau_lambda_matrix
+    tau_v = tau(t, v)
+    tau_w = tau(t, w)
+    tau_vw = tau(t, tensor(v, w))
     idv = Matrix.identity(m.field, v.dim)
     idw = Matrix.identity(m.field, w.dim)
     arr1 = _slotwise_action(phi_inv_nz, (sharp(v), m, w))
@@ -411,15 +422,14 @@ def _hexagon_composites(t, v: Module, w: Module, tau_builder):
 
 def hexagon_check(t, v: Module, w: Module) -> bool:
     """Full hexagon commutativity at (V, W) for a type-I or type-II structure."""
-    builder = tau_from_rho if isinstance(t, AydTypeI) else tau_from_lambda
-    top, bot = _hexagon_composites(t, v, w, builder)
+    top, bot = _hexagon_composites(t, v, w)
     return top == bot
 
 
-def _check_quasi_comodule(t, name: str, tau_builder) -> CheckReport:
+def _check_quasi_comodule(t, name: str) -> CheckReport:
     """Both hexagon composites at V = W = H evaluated on 1 (x) 1 (x) m."""
     rep = CheckReport()
-    lhs, rhs = quasi_comodule_condition_matrices(t, tau_builder)
+    lhs, rhs = quasi_comodule_condition_matrices(t)
     if lhs == rhs:
         rep.add_ok(name)
         return rep
@@ -431,15 +441,13 @@ def _check_quasi_comodule(t, name: str, tau_builder) -> CheckReport:
     raise AssertionError("unreachable")
 
 
-def quasi_comodule_condition_matrices(t, tau_builder=None):
+def quasi_comodule_condition_matrices(t):
     """Matrices M -> M (x) H (x) H of the two sides of the coassociativity-type
     condition, computed by pushing 1 (x) 1 (x) m around the hexagon at V = W = H."""
-    if tau_builder is None:
-        tau_builder = tau_from_rho if isinstance(t, AydTypeI) else tau_from_lambda
     m = t.module
     h = m.h
     reg = regular_module(h)
-    top, bot = _hexagon_composites(t, reg, reg, tau_builder)
+    top, bot = _hexagon_composites(t, reg, reg)
     d, n, f = m.dim, h.dim, m.field
     unit_unit = vec_kron(h.unit, h.unit)
     lhs_cols, rhs_cols = [], []

@@ -5,9 +5,11 @@ coaction map, so their joint solution set is an affine subspace computed
 exactly.  Both conditions are defined once, as the block generators in
 ``ayd`` that the checkers also use; this module only assembles those blocks
 into one linear system.  The remaining coassociativity-type condition is
-quadratic; over a prime field the affine space is enumerated and filtered
-through the full check, over the rationals only membership checking is
-offered.
+quadratic in the coordinates of the affine space.  Over a prime field its
+residual is interpolated exactly from O(e^2) evaluations of the hexagon,
+the p^e points are swept against that polynomial, and only the points where
+it vanishes go through the full check; the budget still counts the p^e
+points swept.  Over the rationals only membership checking is offered.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .ayd import (
     compat_i_blocks,
     compat_ii_blocks,
     counit_blocks,
+    quasi_comodule_condition_matrices,
 )
 from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
@@ -119,7 +122,60 @@ def linear_space_type_ii(m: Module) -> LinearSolutionSpace:
     return _linear_space(m, compat_ii_blocks, with_alpha=True)
 
 
+def _coaction(m: Module, space: LinearSolutionSpace, coeffs) -> Matrix:
+    return Matrix(m.field, m.dim * m.h.dim, m.dim, space.point(coeffs).entries)
+
+
+def _quadratic_residual(m: Module, space: LinearSolutionSpace, build) -> list:
+    """The rows of q(c) = lhs - rhs of the quasi-comodule condition at the
+    point with coordinates c, as polynomials in c over F_p.
+
+    Each tau is linear in the coaction, the top composite has two tau
+    factors and the bottom one has one, so q has degree at most 2 and is
+    recovered exactly from its values at 0, +-e_i and e_i + e_j (only e_i
+    over F_2, where c_i^2 = c_i).  A row is a tuple of ``(k, i, j)`` terms,
+    each k . cc[i] . cc[j] with cc = (1,) + c, and its value is their sum
+    mod p.
+    """
+    p, e = m.field.p, space.affine_dim
+
+    def q(*steps) -> list:
+        """The residual at c = sum of x . e_i over the (i, x) in ``steps``."""
+        c = [0] * e
+        for i, x in steps:
+            c[i] = x
+        lhs, rhs = quasi_comodule_condition_matrices(build(m, _coaction(m, space, c)))
+        return [(l - r).residue for l, r in zip(lhs.entries, rhs.entries)]
+
+    q0 = q()
+    plus = [q((i, 1)) for i in range(e)]
+    coef = {(0, 0): q0}
+    if p == 2:
+        for i in range(e):
+            coef[0, i + 1] = [a - z for a, z in zip(plus[i], q0)]
+    else:
+        half = (p + 1) // 2
+        for i in range(e):
+            minus = q((i, p - 1))
+            coef[0, i + 1] = [(a - b) * half for a, b in zip(plus[i], minus)]
+            coef[i + 1, i + 1] = [(a + b - 2 * z) * half for a, b, z in zip(plus[i], minus, q0)]
+    for i in range(e):
+        for j in range(i + 1, e):
+            both = q((i, 1), (j, 1))
+            coef[i + 1, j + 1] = [s - a - b + z for s, a, b, z in zip(both, plus[i], plus[j], q0)]
+    return [
+        tuple((vec[r] % p, i, j) for (i, j), vec in coef.items() if vec[r] % p)
+        for r in range(len(q0))
+    ]
+
+
 def _enumerate(m: Module, linear_space, build, full_check, budget: int):
+    """The points of the linear space that pass ``full_check``, sorted by
+    coaction entries.
+
+    Every refusal comes before q is interpolated.  The kernel basis is
+    independent, so distinct coordinates give distinct points.
+    """
     f = m.field
     if not isinstance(f, PrimeField):
         raise ShapeError("exhaustive enumeration needs a prime field")
@@ -127,20 +183,21 @@ def _enumerate(m: Module, linear_space, build, full_check, budget: int):
     if space.is_empty:
         return []
     e = space.affine_dim
-    count = f.p ** e
+    p = f.p
+    count = p ** e
     if count > budget:
         raise BudgetExceededError(e, count, budget)
-    seen = {}
-    for coeffs in product(f.elements(), repeat=e):
-        vec = space.point(coeffs).col(0)
-        mat = Matrix(f, m.dim * m.h.dim, m.dim, tuple(vec))
-        key = tuple(x.residue for x in vec)
-        if key in seen:
+    rows = [row for row in dict.fromkeys(_quadratic_residual(m, space, build)) if row]
+    found = []
+    for c in product(range(p), repeat=e):
+        cc = (1,) + c
+        if any(sum(k * cc[i] * cc[j] for k, i, j in row) % p for row in rows):
             continue
+        mat = _coaction(m, space, c)
         cand = build(m, mat)
         if full_check(cand).passed:
-            seen[key] = cand
-    return [seen[k] for k in sorted(seen)]
+            found.append((tuple(x.residue for x in mat.entries), cand))
+    return [cand for _, cand in sorted(found, key=lambda kc: kc[0])]
 
 
 def enumerate_ayd_i(m: Module, budget: int = DEFAULT_BUDGET):

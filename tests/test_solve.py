@@ -1,27 +1,36 @@
+import hashlib
 import random
 from itertools import chain, product
+from pathlib import Path
 
 import pytest
 
+import qhayd.ayd as ayd
 import qhayd.ayd_solve as ayd_solve
 from qhayd.ayd import (
     AydTypeI,
+    AydTypeII,
     check_type_i,
     check_type_ii,
     compat_i_blocks,
     compat_ii_blocks,
     convert_i_to_ii,
     counit_blocks,
+    quasi_comodule_condition_matrices,
 )
 from qhayd.ayd_solve import (
+    _coaction,
     _linear_system,
+    _quadratic_residual,
     enumerate_ayd_i,
     enumerate_ayd_ii,
     linear_space_type_i,
     linear_space_type_ii,
 )
+from qhayd.cli import main
 from qhayd.errors import BudgetExceededError, ShapeError
 from qhayd.fields import PrimeField, QQ
+from qhayd.jsonio import dump_json
 from qhayd.linalg import Matrix
 from qhayd.repcat import character_module, regular_module, trivial_module
 from qhayd.zoo import build_entry, group_algebra, cyclic_table
@@ -52,8 +61,6 @@ def test_enumeration_matches_raw_brute_force_z2_f3():
 
 
 def test_enumeration_matches_raw_brute_force_z2_f2_type_ii():
-    from qhayd.ayd import AydTypeII
-
     h = build_entry("z2", F2)
     triv = h.modules["trivial"]
     points = enumerate_ayd_ii(triv)
@@ -198,3 +205,101 @@ def test_enumeration_refuses_rational_field_before_solving(monkeypatch):
         enumerate_ayd_i(reg)
     with pytest.raises(ShapeError):
         enumerate_ayd_ii(reg)
+
+
+def per_candidate_enumeration(m, linear_space, build, full_check):
+    """The enumeration before interpolation: one full check per point."""
+    f = m.field
+    space = linear_space(m)
+    if space.is_empty:
+        return []
+    seen = {}
+    for coeffs in product(f.elements(), repeat=space.affine_dim):
+        vec = space.point(coeffs).col(0)
+        key = tuple(x.residue for x in vec)
+        cand = build(m, Matrix(f, m.dim * m.h.dim, m.dim, tuple(vec)))
+        if full_check(cand).passed:
+            seen[key] = cand
+    return [seen[k] for k in sorted(seen)]
+
+
+# Zoo modules with p^e <= 81 (both types have the same e), as
+# (p, entry, modules).  The other such modules (s3's sign and trivial over
+# every p, z3's regular over F_2, k3w's over F_7) also qualify, but their
+# per-candidate loops take 2-20 s each here, so they are left out.
+SMALL_SPACES = (
+    (2, "z2", ("regular", "sign", "trivial")),
+    (2, "z3", ("trivial",)),
+    (3, "z2", ("regular", "sign", "trivial")),
+    (3, "z3", ("trivial",)),
+    (3, "h4", ("chi_minus", "trivial")),
+    (3, "k2w", ("char1", "regular", "trivial")),
+    (5, "z2", ("regular", "sign", "trivial")),
+    (5, "z3", ("trivial",)),
+    (5, "h4", ("chi_minus", "trivial")),
+    (5, "k2w", ("char1", "regular", "trivial")),
+    (7, "z2", ("regular", "sign", "trivial")),
+    (7, "z3", ("trivial",)),
+    (7, "h4", ("chi_minus", "trivial")),
+    (7, "k2w", ("char1", "regular", "trivial")),
+)
+
+
+@pytest.mark.parametrize("p,name,modules", SMALL_SPACES, ids=str)
+def test_interpolated_enumeration_matches_per_candidate_loop(p, name, modules):
+    e = build_entry(name, PrimeField(p))
+    for mname in modules:
+        m = e.modules[mname]
+        for linear_space, build, full_check, enumerate_, attr in (
+            (linear_space_type_i, AydTypeI, check_type_i, enumerate_ayd_i, "rho"),
+            (linear_space_type_ii, AydTypeII, check_type_ii, enumerate_ayd_ii, "lam"),
+        ):
+            assert p ** linear_space(m).affine_dim <= 81, (name, mname)
+            got = [getattr(t, attr) for t in enumerate_(m)]
+            oracle = per_candidate_enumeration(m, linear_space, build, full_check)
+            assert got == [getattr(t, attr) for t in oracle], (p, name, mname, attr)
+
+
+@pytest.mark.parametrize("name,p,mname",
+                         (("z3", 3, "regular"), ("k3w", 7, "trivial"), ("z2", 2, "regular")))
+def test_interpolated_residual_equals_direct_residual(name, p, mname):
+    m = build_entry(name, PrimeField(p)).modules[mname]
+    rng = random.Random(21)
+    for linear_space, build in ((linear_space_type_i, AydTypeI), (linear_space_type_ii, AydTypeII)):
+        space = linear_space(m)
+        rows = _quadratic_residual(m, space, build)
+        for _ in range(5):
+            c = tuple(rng.randrange(p) for _ in range(space.affine_dim))
+            cc = (1,) + c
+            interpolated = [sum(k * cc[i] * cc[j] for k, i, j in row) % p for row in rows]
+            lhs, rhs = quasi_comodule_condition_matrices(build(m, _coaction(m, space, c)))
+            direct = [(l - r).residue for l, r in zip(lhs.entries, rhs.entries)]
+            assert interpolated == direct, (name, build.__name__, c)
+
+
+def _no_residual(t):
+    raise AssertionError("quasi-comodule residual evaluated before the budget check")
+
+
+def test_budget_refuses_before_any_residual(monkeypatch):
+    monkeypatch.setattr(ayd, "quasi_comodule_condition_matrices", _no_residual)
+    monkeypatch.setattr(ayd_solve, "quasi_comodule_condition_matrices", _no_residual)
+    reg = build_entry("h4", PrimeField(5)).modules["regular"]
+    with pytest.raises(BudgetExceededError):
+        enumerate_ayd_i(reg, budget=100)
+
+
+def test_cli_budget_refusal_before_any_residual(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "h4_f5"
+    assert main(["zoo", "emit", "h4", "--field", "fp:5", "--out", str(out)]) == 0
+    monkeypatch.setattr(ayd, "quasi_comodule_condition_matrices", _no_residual)
+    monkeypatch.setattr(ayd_solve, "quasi_comodule_condition_matrices", _no_residual)
+    path = str(out / "module_regular.json")
+    argv = ["ayd", "solve", "--type", "I", "--module", path, "--json"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    error = "enumeration needs 244140625 candidates (affine dimension 12) but budget is 1000000"
+    report = {"checks": [], "command": argv, "exit_code": 2,
+              "inputs": {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()},
+              "result": {"error": error}}
+    assert capsys.readouterr().out == dump_json(report)
