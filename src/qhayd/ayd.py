@@ -14,24 +14,37 @@ checkers report the first block whose sides differ, and ``ayd_solve``
 assembles the same blocks into its linear system.
 
 The coassociativity-type compatibility (the "quasi-comodule" conditions)
-is checked compositionally: both composites around the hexagon at
-V = W = H are evaluated on the generating vectors 1 (x) 1 (x) m, which
-reproduces the printed equations with an unambiguous pairing of the
-associator instances.
+is checked compositionally: both sides of the hexagon at V = W = H are
+evaluated on the generating vectors 1 (x) 1 (x) m, which reproduces the
+printed equations with an unambiguous pairing of the associator instances.
+Each side is a chain of stages applied to a vector of V# (x) W# (x) M one
+at a time, right to left; no composite matrix is formed:
+
+    top:    tau_W on slots 2-3, Phi^-1 on (V#, M, W), tau_V on slots 1-2;
+    bottom: Phi^-1 on (V#, W#, M), V# (x) W# = (V (x) W)#,
+            tau_{V (x) W}, Phi^-1 on (M, V, W).
+
+Phi^-1 acts slot by slot (``repcat._slotwise_apply``), tau_V and tau_W
+act on their two slots only, and tau_{V (x) W} acts through the coproduct
+of its H-elements (``_tau_elements``), so the module V (x) W is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InconsistentSystemError, ShapeError
 from .linalg import Matrix, hstack, inverse, kron, solve, solve_unique
-from .qha import delta_tree_matrix
+from .qha import delta_tree_matrix, vec_from_sparse
 from .reports import CheckReport
 from .repcat import (
     Module,
     ModuleMap,
-    _slotwise_action,
+    _accumulate,
+    _columns,
+    _pruned,
+    _slotwise_apply,
     hom_r,
     hom_space,
     iota_matrix,
@@ -40,7 +53,7 @@ from .repcat import (
     tensor,
     trivial_module,
 )
-from .tensors import basis_vec, vec_kron, vec_zero
+from .tensors import basis_vec, vec_zero
 
 __all__ = [
     "AydTypeI",
@@ -155,26 +168,7 @@ def r_tensor_module(m: Module) -> Module:
 def tau_from_rho(t: AydTypeI, v: Module) -> ModuleMap:
     """tau_V(v (x) m) = m<0> (x) m<1> v."""
     m = t.module
-    return ModuleMap(tensor(sharp(v), m), tensor(m, v), _tau_rho_matrix(t, v))
-
-
-def _tau_rho_matrix(t: AydTypeI, v: Module) -> Matrix:
-    """The matrix of ``tau_from_rho``, without building its source and target."""
-    m = t.module
-    d, dv, f = m.dim, v.dim, m.field
-    nz = _coaction_nonzeros(m, t.rho)
-    entries = [f.zero()] * (d * dv * dv * d)
-    cols = dv * d
-    for mu in range(d):
-        for (nu, b), c in nz[mu]:
-            av = v.action[b]
-            for jv in range(dv):
-                row = (nu * dv + jv) * cols
-                for iv in range(dv):
-                    x = av.at(jv, iv)
-                    if x:
-                        entries[row + iv * d + mu] = entries[row + iv * d + mu] + c * x
-    return Matrix(f, d * dv, dv * d, tuple(entries))
+    return ModuleMap(tensor(sharp(v), m), tensor(m, v), _tau_matrix(_tau_elements(t), v))
 
 
 def rho_from_tau(b: HalfBraiding) -> AydTypeI:
@@ -195,42 +189,71 @@ def rho_from_tau(b: HalfBraiding) -> AydTypeI:
 def tau_from_lambda(t: AydTypeII, v: Module) -> ModuleMap:
     """tau_V(v (x) m) = R^1 m[0] (x) R^2 m[1] S(Q) S(alpha) S^2(P) v."""
     m = t.module
-    return ModuleMap(tensor(sharp(v), m), tensor(m, v), _tau_lambda_matrix(t, v))
+    return ModuleMap(tensor(sharp(v), m), tensor(m, v), _tau_matrix(_tau_elements(t), v))
 
 
-def _tau_lambda_matrix(t: AydTypeII, v: Module) -> Matrix:
-    """The matrix of ``tau_from_lambda``, without building its source and target."""
+def _tau_elements(t) -> list:
+    """The half-braiding of a type-I or type-II structure as elements of H:
+    tau_V(v (x) m_mu) = sum over nu of m_nu (x) grid[mu][nu] v, for every V.
+
+    ``grid[mu]`` maps nu to a coefficient tuple; absent entries are zero.
+    Type I: grid[mu][nu] = sum_b rho[(nu, b), mu] e_b, the m<1> of m<0> = m_nu.
+    Type II: the sum of R^1 m[0] (x) R^2 m[1] S(Q) S(alpha) S^2(P) over
+    Phi^-1 = P (x) Q (x) R, with R^1 m[0] expanded in the basis of M.
+    """
     m, h = t.module, t.module.h
-    alg = h.algebra
-    d, dv, n, f = m.dim, v.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, t.lam)
-    s_alpha = h.s.apply(h.alpha)
-    s2 = h.s_squared()
+    d, n, f = m.dim, h.dim, m.field
+    grid = [{} for _ in range(d)]
+
+    def add(mu, nu, elem, scale):
+        acc = grid[mu].setdefault(nu, [f.zero()] * n)
+        for l, y in enumerate(elem):
+            if y:
+                acc[l] = acc[l] + scale * y
+
+    if isinstance(t, AydTypeI):
+        for mu, terms in enumerate(_coaction_nonzeros(m, t.rho)):
+            for (nu, b), r in terms:
+                add(mu, nu, basis_vec(f, n, b), r)
+    else:
+        alg = h.algebra
+        nz = _coaction_nonzeros(m, t.lam)
+        s_alpha = h.s.apply(h.alpha)
+        s2 = h.s_squared()
+        for (i, j, k), c in h.phi_inv.nonzeros():
+            kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
+            for (k1, k2), c2 in h.qb.delta_of_basis(k):
+                am = m.action[k1]
+                for mu in range(d):
+                    for (nu, b), r in nz[mu]:
+                        wel = alg.mul_vec(
+                            basis_vec(f, n, k2), alg.mul_vec(basis_vec(f, n, b), kappa)
+                        )
+                        for nu2 in range(d):
+                            x = am.at(nu2, nu)
+                            if x:
+                                add(mu, nu2, wel, c * c2 * r * x)
+    return [{nu: tuple(e) for nu, e in row.items() if any(e)} for row in grid]
+
+
+def _tau_matrix(grid, v: Module) -> Matrix:
+    """The matrix V# (x) M -> M (x) V of tau_V, from ``_tau_elements``,
+    without building its source and target."""
+    d, dv, f = len(grid), v.dim, v.field
     cols = dv * d
     entries = [f.zero()] * (d * dv * cols)
-    for (i, j, k), c in h.phi_inv.nonzeros():
-        kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
-        for (k1, k2), c2 in h.qb.delta_of_basis(k):
-            am = m.action[k1]
-            for mu in range(d):
-                for (nu, b), r in nz[mu]:
-                    wel = alg.mul_vec(
-                        basis_vec(f, n, k2), alg.mul_vec(basis_vec(f, n, b), kappa)
-                    )
-                    av = v.action_of(wel)
-                    coeff = c * c2 * r
-                    for nu2 in range(d):
-                        x = am.at(nu2, nu)
-                        if not x:
-                            continue
-                        for jv in range(dv):
-                            row = (nu2 * dv + jv) * cols
-                            for iv in range(dv):
-                                y = av.at(jv, iv)
-                                if y:
-                                    entries[row + iv * d + mu] = (
-                                        entries[row + iv * d + mu] + coeff * x * y
-                                    )
+    for mu, row in enumerate(grid):
+        for nu, elem in row.items():
+            for l, c in enumerate(elem):
+                if not c:
+                    continue
+                act = v.action[l].entries
+                for jv in range(dv):
+                    base = (nu * dv + jv) * cols + mu
+                    for iv in range(dv):
+                        x = act[jv * dv + iv]
+                        if x:
+                            entries[base + iv * d] = entries[base + iv * d] + c * x
     return Matrix(f, d * dv, cols, tuple(entries))
 
 
@@ -251,7 +274,7 @@ def lambda_from_tau(b: HalfBraiding) -> AydTypeII:
                         for c in range(d)
                     ),
                 )
-                tau = _tau_lambda_matrix(AydTypeII(m, elem), reg)
+                tau = _tau_matrix(_tau_elements(AydTypeII(m, elem)), reg)
                 cols.append(Matrix.column(f, tau.entries))
     sys = hstack(cols)
     target = Matrix.column(f, b.tau_h.entries)
@@ -401,33 +424,108 @@ def check_type_ii(t: AydTypeII) -> CheckReport:
     return rep
 
 
-def _hexagon_composites(t, v: Module, w: Module):
-    """The two composites V# (x) W# (x) M -> M (x) V (x) W around the hexagon."""
+def _on_slot_pair(mat: Matrix, first: int, src_low: int, dst_low: int):
+    """The stage applying ``mat`` to slots ``first`` and ``first + 1`` of a
+    three-slot sparse tensor; ``src_low`` and ``dst_low`` are the sizes of the
+    less significant slot of its source and of its target."""
+    cols = [tuple((divmod(i, dst_low), a) for i, a in col) for col in _columns(mat)]
+
+    def stage(vec: dict) -> dict:
+        out = {}
+        for idx, x in vec.items():
+            for pair, a in cols[idx[first] * src_low + idx[first + 1]]:
+                _accumulate(out, idx[:first] + pair + idx[first + 2 :], a * x)
+        return _pruned(out)
+
+    return stage
+
+
+def _tau_of_tensor(grid, v: Module, w: Module):
+    """The stage tau_{V (x) W}: (V (x) W)# (x) M -> M (x) V (x) W.
+
+    m_mu goes to the sum over nu of m_nu (x) Delta(grid[mu][nu]), which acts
+    slot-wise on V and W, so the module V (x) W is never built.
+    """
+    qb = v.h.qb
+    terms = []
+    for row in grid:
+        per_nu = []
+        for nu, elem in row.items():
+            delta = {}
+            for l, c in enumerate(elem):
+                if c:
+                    for ab, y in qb.delta_of_basis(l):
+                        _accumulate(delta, ab, c * y)
+            per_nu.append((nu, tuple((a, b, c) for (a, b), c in _pruned(delta).items())))
+        terms.append(per_nu)
+    vcols = [_columns(a) for a in v.action]
+    wcols = [_columns(a) for a in w.action]
+
+    def stage(vec: dict) -> dict:
+        out = {}
+        for (i1, i2, mu), x in vec.items():
+            for nu, delta in terms[mu]:
+                for a, b, c in delta:
+                    for j1, y1 in vcols[a][i1]:
+                        cxy = c * x * y1
+                        for j2, y2 in wcols[b][i2]:
+                            _accumulate(out, (nu, j1, j2), cxy * y2)
+        return _pruned(out)
+
+    return stage
+
+
+def _sharp_of_tensor(vec: dict) -> dict:
+    """V# (x) W# -> (V (x) W)#, the identity on vectors.
+
+    This identification is H-linear when S^2 is a coalgebra map, as on
+    every zoo algebra; in general the action of Drinfeld's element g
+    belongs at this step.
+    """
+    return vec
+
+
+def _hexagon_chains(t, v: Module, w: Module):
+    """The two sides of the hexagon V# (x) W# (x) M -> M (x) V (x) W, as
+    stages on sparse tensors {(i, j, k): coefficient}, in the order they act
+    (right to left in the composite)."""
     m = t.module
-    h = m.h
-    phi_inv_nz = h.phi_inv.nonzeros()
-    tau = _tau_rho_matrix if isinstance(t, AydTypeI) else _tau_lambda_matrix
-    tau_v = tau(t, v)
-    tau_w = tau(t, w)
-    tau_vw = tau(t, tensor(v, w))
-    idv = Matrix.identity(m.field, v.dim)
-    idw = Matrix.identity(m.field, w.dim)
-    arr1 = _slotwise_action(phi_inv_nz, (sharp(v), m, w))
-    top = kron(tau_v, idw) @ arr1 @ kron(idv, tau_w)
-    arr0 = _slotwise_action(phi_inv_nz, (sharp(v), sharp(w), m))
-    arr2 = _slotwise_action(phi_inv_nz, (m, v, w))
-    bot = arr2 @ tau_vw @ arr0
-    return top, bot
+    phi_inv = m.h.phi_inv.nonzeros()
+    grid = _tau_elements(t)
+    vs, ws = sharp(v), sharp(w)
+    top = (
+        _on_slot_pair(_tau_matrix(grid, w), 1, m.dim, w.dim),  # V# (x) tau_W
+        _slotwise_apply(phi_inv, (vs, m, w)),                  # Phi^-1 on V# (x) M (x) W
+        _on_slot_pair(_tau_matrix(grid, v), 0, m.dim, v.dim),  # tau_V (x) W
+    )
+    bottom = (
+        _slotwise_apply(phi_inv, (vs, ws, m)),                 # Phi^-1 on V# (x) W# (x) M
+        _sharp_of_tensor,
+        _tau_of_tensor(grid, v, w),                            # tau_{V (x) W}
+        _slotwise_apply(phi_inv, (m, v, w)),                   # Phi^-1 on M (x) V (x) W
+    )
+    return top, bottom
+
+
+def _push(stages, vec: dict) -> dict:
+    for stage in stages:
+        vec = stage(vec)
+    return vec
 
 
 def hexagon_check(t, v: Module, w: Module) -> bool:
-    """Full hexagon commutativity at (V, W) for a type-I or type-II structure."""
-    top, bot = _hexagon_composites(t, v, w)
-    return top == bot
+    """Full hexagon commutativity at (V, W) for a type-I or type-II structure:
+    every basis vector of V# (x) W# (x) M is pushed through both sides."""
+    top, bottom = _hexagon_chains(t, v, w)
+    one = t.module.field.one()
+    return all(
+        _push(top, {idx: one}) == _push(bottom, {idx: one})
+        for idx in product(range(v.dim), range(w.dim), range(t.module.dim))
+    )
 
 
 def _check_quasi_comodule(t, name: str) -> CheckReport:
-    """Both hexagon composites at V = W = H evaluated on 1 (x) 1 (x) m."""
+    """Both sides of the hexagon at V = W = H evaluated on 1 (x) 1 (x) m."""
     rep = CheckReport()
     lhs, rhs = quasi_comodule_condition_matrices(t)
     if lhs == rhs:
@@ -443,18 +541,20 @@ def _check_quasi_comodule(t, name: str) -> CheckReport:
 
 def quasi_comodule_condition_matrices(t):
     """Matrices M -> M (x) H (x) H of the two sides of the coassociativity-type
-    condition, computed by pushing 1 (x) 1 (x) m around the hexagon at V = W = H."""
+    condition: each generator 1 (x) 1 (x) m_mu of H# (x) H# (x) M is pushed
+    through the stages of both sides of the hexagon at V = W = H."""
     m = t.module
     h = m.h
     reg = regular_module(h)
-    top, bot = _hexagon_composites(t, reg, reg)
+    top, bottom = _hexagon_chains(t, reg, reg)
     d, n, f = m.dim, h.dim, m.field
-    unit_unit = vec_kron(h.unit, h.unit)
+    unit = [(a, u) for a, u in enumerate(h.unit) if u]
+    dims = (d, n, n)
     lhs_cols, rhs_cols = [], []
     for mu in range(d):
-        x = vec_kron(unit_unit, basis_vec(f, d, mu))
-        lhs_cols.append(top.apply(x))
-        rhs_cols.append(bot.apply(x))
+        x = {(a, b, mu): ua * ub for a, ua in unit for b, ub in unit}
+        lhs_cols.append(vec_from_sparse(f, _push(top, x), dims))
+        rhs_cols.append(vec_from_sparse(f, _push(bottom, x), dims))
     rows = d * n * n
     lhs = Matrix.from_rows(f, [[lhs_cols[mu][r] for mu in range(d)] for r in range(rows)])
     rhs = Matrix.from_rows(f, [[rhs_cols[mu][r] for mu in range(d)] for r in range(rows)])
@@ -487,10 +587,10 @@ def classical_comodule_matrices(t: AydTypeI):
 
 def naturality_check(t, u: ModuleMap) -> bool:
     """(id_M (x) u) o tau_V = tau_W o (u# (x) id_M) for an H-linear u: V -> W."""
-    builder = tau_from_rho if isinstance(t, AydTypeI) else tau_from_lambda
     m = t.module
-    tau_v = builder(t, u.source).matrix
-    tau_w = builder(t, u.target).matrix
+    grid = _tau_elements(t)
+    tau_v = _tau_matrix(grid, u.source)
+    tau_w = _tau_matrix(grid, u.target)
     idm = Matrix.identity(m.field, m.dim)
     return kron(idm, u.matrix) @ tau_v == tau_w @ kron(u.matrix, idm)
 

@@ -14,10 +14,11 @@ Hom-space vectorization is row-major: a map f: M -> N with matrix F
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .errors import InconsistentSystemError, ShapeError
 from .linalg import Matrix, hstack, kernel_basis, kron, solve, solve_unique, vstack
-from .qha import QuasiHopfAlgebra
+from .qha import QuasiHopfAlgebra, vec_from_sparse
 from .reports import CheckReport
 from .tensors import basis_vec
 
@@ -165,19 +166,64 @@ def tensor(m: Module, n: Module) -> Module:
     return Module(h, m.dim * n.dim, tuple(acts), name=f"({m.name})(x)({n.name})")
 
 
-def _slotwise_action(tensor_nonzeros, modules) -> Matrix:
-    """Matrix of sum c . act_1(e_i1) kron ... kron act_k(e_ik)."""
-    field = modules[0].field
-    total = 1
-    for m in modules:
-        total *= m.dim
-    out = Matrix.zeros(field, total, total)
-    for idx, c in tensor_nonzeros:
-        term = modules[0].action[idx[0]]
-        for s in range(1, len(modules)):
-            term = kron(term, modules[s].action[idx[s]])
-        out = out + term.scale(c)
+def _columns(mat: Matrix) -> tuple:
+    """Per column j of ``mat``, the (i, a_ij) pairs with a_ij nonzero."""
+    r, c, e = mat.rows, mat.cols, mat.entries
+    return tuple(
+        tuple((i, e[i * c + j]) for i in range(r) if e[i * c + j]) for j in range(c)
+    )
+
+
+def _accumulate(out: dict, key, x):
+    prev = out.get(key)
+    out[key] = x if prev is None else prev + x
+
+
+def _pruned(out: dict) -> dict:
+    return {k: x for k, x in out.items() if x}
+
+
+def _apply_on_slot(vec: dict, slot: int, cols) -> dict:
+    """Apply a matrix, given by its ``_columns``, to one slot of a sparse tensor."""
+    out = {}
+    for idx, x in vec.items():
+        for i, a in cols[idx[slot]]:
+            _accumulate(out, idx[:slot] + (i,) + idx[slot + 1 :], a * x)
     return out
+
+
+def _slotwise_apply(tensor_nonzeros, modules):
+    """The map vec -> (sum c . act_1(e_i1) kron ... kron act_k(e_ik)) vec.
+
+    Vectors are sparse tensors {(j_1, ..., j_k): coefficient}; each term acts
+    slot by slot, so no Kronecker product is formed.
+    """
+    cols = [[_columns(a) for a in m.action] for m in modules]
+
+    def apply(vec: dict) -> dict:
+        out = {}
+        for idx, c in tensor_nonzeros:
+            part = vec
+            for s in reversed(range(len(modules))):
+                part = _apply_on_slot(part, s, cols[s][idx[s]])
+            for key, x in part.items():
+                _accumulate(out, key, c * x)
+        return _pruned(out)
+
+    return apply
+
+
+def _slotwise_action(tensor_nonzeros, modules) -> Matrix:
+    """Matrix of sum c . act_1(e_i1) kron ... kron act_k(e_ik); column ``idx``
+    is the image of the basis tensor e_idx under ``_slotwise_apply``."""
+    field = modules[0].field
+    dims = tuple(m.dim for m in modules)
+    apply = _slotwise_apply(tensor_nonzeros, modules)
+    cols = [
+        vec_from_sparse(field, apply({idx: field.one()}), dims)
+        for idx in product(*(range(d) for d in dims))
+    ]
+    return Matrix.from_rows(field, cols).transpose()
 
 
 def associator(m: Module, n: Module, l: Module) -> ModuleMap:
@@ -196,8 +242,8 @@ def associator_inv(m: Module, n: Module, l: Module) -> ModuleMap:
 
 def sharp(m: Module) -> Module:
     """Same space, action precomposed with S^2."""
-    s2 = m.h.s_squared()
-    acts = tuple(m.action_of(s2.col(i)) for i in range(m.h.dim))
+    s = m.h.s
+    acts = tuple(m.action_of(s.apply(s.col(i))) for i in range(m.h.dim))
     return Module(m.h, m.dim, acts, name=f"({m.name})#")
 
 

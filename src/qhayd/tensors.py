@@ -20,7 +20,6 @@ __all__ = [
     "unflat_index",
     "vec_zero",
     "basis_vec",
-    "vec_kron",
 ]
 
 
@@ -89,15 +88,3 @@ def vec_zero(field: Field, n: int) -> tuple:
 def basis_vec(field: Field, n: int, i: int) -> tuple:
     z = field.zero()
     return tuple(field.one() if j == i else z for j in range(n))
-
-
-def vec_kron(u, v) -> tuple:
-    """Tensor product of coefficient vectors, left slot most significant."""
-    out = []
-    for a in u:
-        if a:
-            out.extend(a * b for b in v)
-        else:
-            zero = a
-            out.extend(zero for _ in v)
-    return tuple(out)

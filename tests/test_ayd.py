@@ -1,8 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import qhayd.ayd as ayd
 from qhayd.ayd import (
     AydTypeI,
     AydTypeII,
@@ -25,20 +27,21 @@ from qhayd.ayd import (
     tau_from_lambda,
     tau_from_rho,
 )
-from qhayd.ayd_solve import linear_space_type_ii
+from qhayd.ayd_solve import linear_space_type_i, linear_space_type_ii
 from qhayd.errors import InconsistentSystemError, ShapeError
 from qhayd.fields import PrimeField
-from qhayd.linalg import Matrix
+from qhayd.linalg import Matrix, kron
 from qhayd.repcat import (
     check_module,
     hom_space,
     is_module_morphism,
     regular_module,
+    sharp,
     tensor,
     trivial_module,
 )
 from qhayd.tensors import basis_vec
-from qhayd.zoo import build_entry
+from qhayd.zoo import build_entry, zoo_names
 
 from conftest import entry
 
@@ -389,3 +392,206 @@ def test_compat_and_counit_witnesses_keep_their_locations(h4):
                       (check_type_ii(AydTypeII(reg, x)), "comodule-unit-ii")):
         w = rep.item(name).witness
         assert (w.location, w.lhs, w.rhs) == ((1,), (zero,) * 4, (zero, one, zero, zero))
+
+
+# -- the hexagon, stage by stage, against its multiplied-out composites ----------
+
+
+def kron_slotwise_action(tensor_nonzeros, modules):
+    """Oracle: sum c . act_1(e_i1) kron ... kron act_k(e_ik) as a dense matrix."""
+    field = modules[0].field
+    total = 1
+    for m in modules:
+        total *= m.dim
+    out = Matrix.zeros(field, total, total)
+    for idx, c in tensor_nonzeros:
+        term = modules[0].action[idx[0]]
+        for s in range(1, len(modules)):
+            term = kron(term, modules[s].action[idx[s]])
+        out = out + term.scale(c)
+    return out
+
+
+def dense_tau_rho_matrix(t, v):
+    """Oracle: the matrix of tau_V(v (x) m) = m<0> (x) m<1> v."""
+    m = t.module
+    d, dv, f = m.dim, v.dim, m.field
+    n = m.h.dim
+    entries = [f.zero()] * (d * dv * dv * d)
+    cols = dv * d
+    for mu in range(d):
+        for flat, c in enumerate(t.rho.col(mu)):
+            if not c:
+                continue
+            nu, b = flat // n, flat % n
+            av = v.action[b]
+            for jv in range(dv):
+                row = (nu * dv + jv) * cols
+                for iv in range(dv):
+                    x = av.at(jv, iv)
+                    if x:
+                        entries[row + iv * d + mu] = entries[row + iv * d + mu] + c * x
+    return Matrix(f, d * dv, dv * d, tuple(entries))
+
+
+def dense_tau_lambda_matrix(t, v):
+    """Oracle: the matrix of tau_V(v (x) m) = R^1 m[0] (x) R^2 m[1] S(Q) S(alpha) S^2(P) v."""
+    m, h = t.module, t.module.h
+    alg = h.algebra
+    d, dv, n, f = m.dim, v.dim, h.dim, m.field
+    s_alpha = h.s.apply(h.alpha)
+    s2 = h.s_squared()
+    cols = dv * d
+    entries = [f.zero()] * (d * dv * cols)
+    for (i, j, k), c in h.phi_inv.nonzeros():
+        kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
+        for (k1, k2), c2 in h.qb.delta_of_basis(k):
+            am = m.action[k1]
+            for mu in range(d):
+                for flat, r in enumerate(t.lam.col(mu)):
+                    if not r:
+                        continue
+                    nu, b = flat // n, flat % n
+                    wel = alg.mul_vec(
+                        basis_vec(f, n, k2), alg.mul_vec(basis_vec(f, n, b), kappa)
+                    )
+                    av = v.action_of(wel)
+                    coeff = c * c2 * r
+                    for nu2 in range(d):
+                        x = am.at(nu2, nu)
+                        if not x:
+                            continue
+                        for jv in range(dv):
+                            row = (nu2 * dv + jv) * cols
+                            for iv in range(dv):
+                                y = av.at(jv, iv)
+                                if y:
+                                    entries[row + iv * d + mu] = (
+                                        entries[row + iv * d + mu] + coeff * x * y
+                                    )
+    return Matrix(f, d * dv, cols, tuple(entries))
+
+
+def composed_hexagon(t, v, w):
+    """Oracle: the two composites V# (x) W# (x) M -> M (x) V (x) W around the
+    hexagon, multiplied out as dense matrices."""
+    m = t.module
+    phi_inv_nz = m.h.phi_inv.nonzeros()
+    tau = dense_tau_rho_matrix if isinstance(t, AydTypeI) else dense_tau_lambda_matrix
+    tau_v = tau(t, v)
+    tau_w = tau(t, w)
+    tau_vw = tau(t, tensor(v, w))
+    idv = Matrix.identity(m.field, v.dim)
+    idw = Matrix.identity(m.field, w.dim)
+    arr1 = kron_slotwise_action(phi_inv_nz, (sharp(v), m, w))
+    top = kron(tau_v, idw) @ arr1 @ kron(idv, tau_w)
+    arr0 = kron_slotwise_action(phi_inv_nz, (sharp(v), sharp(w), m))
+    arr2 = kron_slotwise_action(phi_inv_nz, (m, v, w))
+    bot = arr2 @ tau_vw @ arr0
+    return top, bot
+
+
+def composed_condition_matrices(t):
+    """Oracle: both composites at V = W = H applied to 1 (x) 1 (x) m."""
+    m, h = t.module, t.module.h
+    reg = regular_module(h)
+    top, bot = composed_hexagon(t, reg, reg)
+    d, f = m.dim, m.field
+    gens = [tuple(a * b * c for a in h.unit for b in h.unit for c in basis_vec(f, d, mu))
+            for mu in range(d)]
+    return tuple(
+        Matrix.from_rows(f, [list(r) for r in zip(*(side.apply(x) for x in gens))])
+        for side in (top, bot)
+    )
+
+
+# every zoo algebra over its own field and over F_5 and F_7 where the zoo builds it
+HEXAGON_FIELDS = [(name, None) for name in zoo_names()] + [
+    (name, PrimeField(p)) for name in ("h4", "k2w", "s3", "z2", "z3") for p in (5, 7)
+]
+
+
+@functools.cache
+def _hexagon_cases():
+    """(label, zoo modules, structure) triples, both types, on every zoo
+    module whose hexagon at V = W = H has at most 36 dimensions (all but the
+    regular modules of s3 and h4): a random coaction, a point of the linear
+    space and that point perturbed in one coefficient; above 9 dimensions,
+    where the composites cost the most, only the perturbed point (or the
+    random coaction when the space is empty)."""
+    rng = random.Random(22)
+    cases = []
+    for name, field in HEXAGON_FIELDS:
+        e = build_entry(name, field)
+        for mname, m in sorted(e.modules.items()):
+            f, n = m.field, m.h.dim
+            if n * n * m.dim > 36:
+                continue
+            rows, cols = m.dim * n, m.dim
+            for build, linear_space in ((AydTypeI, linear_space_type_i),
+                                        (AydTypeII, linear_space_type_ii)):
+                label = f"{name}/{f!r}/{mname}/{build.__name__}"
+                found = [("random", build(m, Matrix(f, rows, cols, tuple(
+                    f.from_int(rng.randrange(-2, 3)) if rng.random() < 0.4 else f.zero()
+                    for _ in range(rows * cols)))))]
+                space = linear_space(m)
+                if not space.is_empty:
+                    coeffs = [f.from_int(rng.randrange(-2, 3)) for _ in range(space.affine_dim)]
+                    point = list(space.point(coeffs).entries)
+                    found.append(("point", build(m, Matrix(f, rows, cols, tuple(point)))))
+                    point[rng.randrange(rows * cols)] += f.one()
+                    found.append(("perturbed", build(m, Matrix(f, rows, cols, tuple(point)))))
+                if n * n * m.dim > 9:
+                    found = found[-1:]
+                cases.extend((f"{label}/{kind}", e.modules, t) for kind, t in found)
+    return tuple(cases)
+
+
+def test_condition_matrices_match_composed_hexagon():
+    """The condition matrices, and tau_V on every zoo module V."""
+    verdicts = set()
+    for label, modules, t in _hexagon_cases():
+        lhs, rhs = quasi_comodule_condition_matrices(t)
+        assert (lhs, rhs) == composed_condition_matrices(t), label
+        verdicts.add(lhs == rhs)
+        tau, dense_tau = ((tau_from_rho, dense_tau_rho_matrix) if isinstance(t, AydTypeI)
+                          else (tau_from_lambda, dense_tau_lambda_matrix))
+        for v in modules.values():
+            assert tau(t, v).matrix == dense_tau(t, v), (label, v.name)
+    assert verdicts == {True, False}
+
+
+def test_hexagon_check_matches_composed_hexagon():
+    """Verdicts on the points and perturbed points, at every pair (V, W) of
+    zoo modules with dim V (x) W (x) M <= 9."""
+    verdicts = set()
+    for label, modules, t in _hexagon_cases():
+        if label.endswith("random"):
+            continue
+        for v in modules.values():
+            for w in modules.values():
+                if v.dim * w.dim * t.module.dim > 9:
+                    continue
+                top, bot = composed_hexagon(t, v, w)
+                got = hexagon_check(t, v, w)
+                assert got == (top == bot), (label, v.name, w.name)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_condition_matrices_form_no_composite(monkeypatch):
+    reg = build_entry("s3").modules["regular"]
+    h, f = reg.h, reg.field
+    # rho(m) = m (x) 1
+    rho = Matrix(f, reg.dim * h.dim, reg.dim, tuple(
+        h.unit[r % h.dim] if r // h.dim == mu else f.zero()
+        for r in range(reg.dim * h.dim) for mu in range(reg.dim)))
+
+    def refuse(*args):
+        raise AssertionError("a composite was formed")
+
+    monkeypatch.setattr(ayd, "kron", refuse)
+    monkeypatch.setattr(ayd, "tensor", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    lhs, rhs = quasi_comodule_condition_matrices(AydTypeI(reg, rho))
+    assert lhs == rhs

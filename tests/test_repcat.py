@@ -7,6 +7,7 @@ from qhayd.fields import QQ
 from qhayd.linalg import Matrix, inverse, rank
 from qhayd.repcat import (
     ModuleMap,
+    _slotwise_action,
     associator,
     associator_inv,
     character_module,
@@ -32,6 +33,8 @@ from qhayd.repcat import (
     uncurry_r,
 )
 from qhayd.tensors import basis_vec
+
+from test_ayd import kron_slotwise_action
 
 
 def small_modules(entry, max_dim=4):
@@ -81,6 +84,20 @@ def test_associator_is_module_morphism_everywhere(zoo_entry):
                 assert a.is_morphism()
                 b = associator_inv(m, n, l)
                 assert a.matrix @ b.matrix == Matrix.identity(m.field, a.matrix.rows)
+
+
+def test_slotwise_action_matches_kronecker_sum(zoo_entry):
+    h = zoo_entry.algebra
+    mods = small_modules(zoo_entry, max_dim=3)
+    for m in mods:
+        for n in mods:
+            for l in mods:
+                if m.dim * n.dim * l.dim > 27:
+                    continue
+                for element in (h.phi, h.phi_inv):
+                    nz = element.nonzeros()
+                    expected = kron_slotwise_action(nz, (m, n, l))
+                    assert _slotwise_action(nz, (m, n, l)) == expected, (m.name, n.name, l.name)
 
 
 def test_associator_trivial_for_group_algebra(z2):

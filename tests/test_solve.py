@@ -223,25 +223,29 @@ def per_candidate_enumeration(m, linear_space, build, full_check):
     return [seen[k] for k in sorted(seen)]
 
 
-# Zoo modules with p^e <= 81 (both types have the same e), as
-# (p, entry, modules).  The other such modules (s3's sign and trivial over
-# every p, z3's regular over F_2, k3w's over F_7) also qualify, but their
-# per-candidate loops take 2-20 s each here, so they are left out.
+# Every zoo module with p^e <= 81 (both types have the same e), as
+# (p, entry, modules).
 SMALL_SPACES = (
     (2, "z2", ("regular", "sign", "trivial")),
     (2, "z3", ("trivial",)),
+    (2, "z3", ("regular",)),
+    (2, "s3", ("sign", "trivial")),
     (3, "z2", ("regular", "sign", "trivial")),
     (3, "z3", ("trivial",)),
+    (3, "s3", ("sign", "trivial")),
     (3, "h4", ("chi_minus", "trivial")),
     (3, "k2w", ("char1", "regular", "trivial")),
     (5, "z2", ("regular", "sign", "trivial")),
     (5, "z3", ("trivial",)),
+    (5, "s3", ("sign", "trivial")),
     (5, "h4", ("chi_minus", "trivial")),
     (5, "k2w", ("char1", "regular", "trivial")),
     (7, "z2", ("regular", "sign", "trivial")),
     (7, "z3", ("trivial",)),
+    (7, "s3", ("sign", "trivial")),
     (7, "h4", ("chi_minus", "trivial")),
     (7, "k2w", ("char1", "regular", "trivial")),
+    (7, "k3w", ("char1", "trivial")),
 )
 
 

@@ -9,7 +9,6 @@ from qhayd.tensors import (
     Tensor,
     flat_index,
     unflat_index,
-    vec_kron,
 )
 
 
@@ -29,15 +28,6 @@ def test_leftmost_slot_most_significant():
 def test_tensor_shape_guard():
     with pytest.raises(ShapeError):
         Tensor(QQ, 2, 3, (QQ.zero(),) * 7)
-
-
-def test_vec_kron_matches_flat_convention():
-    a = (Fraction(1), Fraction(2))
-    b = (Fraction(3), Fraction(5), Fraction(7))
-    v = vec_kron(a, b)
-    for i in range(2):
-        for j in range(3):
-            assert v[flat_index((i, j), (2, 3))] == a[i] * b[j]
 
 
 def test_tensor_nonzeros():
