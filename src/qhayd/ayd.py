@@ -43,11 +43,11 @@ from .repcat import (
     ModuleMap,
     _accumulate,
     _columns,
+    _iota_matrix,
     _pruned,
     _slotwise_apply,
     hom_r,
     hom_space,
-    iota_matrix,
     regular_module,
     sharp,
     tensor,
@@ -290,13 +290,13 @@ def lambda_from_tau(b: HalfBraiding) -> AydTypeII:
 
 def convert_i_to_ii(t: AydTypeI) -> AydTypeII:
     reg = regular_module(t.module.h)
-    tau_h = tau_from_rho(t, reg).matrix
+    tau_h = _tau_matrix(_tau_elements(t), reg)
     return lambda_from_tau(HalfBraiding(t.module, tau_h))
 
 
 def convert_ii_to_i(t: AydTypeII) -> AydTypeI:
     reg = regular_module(t.module.h)
-    tau_h = tau_from_lambda(t, reg).matrix
+    tau_h = _tau_matrix(_tau_elements(t), reg)
     return rho_from_tau(HalfBraiding(t.module, tau_h))
 
 
@@ -603,18 +603,14 @@ def stability_check(t: AydTypeI) -> bool:
     m, h = t.module, t.module.h
     f = m.field
     reg = regular_module(h)
-    unit = trivial_module(h)
-    tau_h = tau_from_rho(t, reg).matrix
-    dom = hom_space(tensor(m, reg), unit)
+    tau_h = _tau_matrix(_tau_elements(t), reg)
+    dom = hom_space(tensor(m, reg), trivial_module(h))
     if not dom:
         return True
-    imat, dom2, cod = iota_matrix(m, reg)
-    if not cod:
-        return False
-    dom_cols = hstack([Matrix.column(f, b.entries) for b in dom2])
+    imat, _, cod = _iota_matrix(m, reg, dom)
     cod_cols = hstack([Matrix.column(f, b.entries) for b in cod])
     composed = hstack(
-        [Matrix.column(f, (Matrix(f, 1, b.cols, b.entries) @ tau_h).entries) for b in dom2]
+        [Matrix.column(f, (Matrix(f, 1, b.cols, b.entries) @ tau_h).entries) for b in dom]
     )
     ycoords = solve(cod_cols, composed)
     if ycoords is None:
@@ -623,7 +619,7 @@ def stability_check(t: AydTypeI) -> bool:
         dcoords = solve_unique(imat, ycoords.particular)
     except InconsistentSystemError:
         return False
-    return dcoords == Matrix.identity(f, len(dom2))
+    return dcoords == Matrix.identity(f, len(dom))
 
 
 def sigma_hopf(t: AydTypeI) -> ModuleMap:
@@ -658,7 +654,7 @@ class DualCentralData:
 def d_apply(t: AydTypeI) -> DualCentralData:
     m, h = t.module, t.module.h
     reg = regular_module(h)
-    tau_h = tau_from_rho(t, reg).matrix
+    tau_h = _tau_matrix(_tau_elements(t), reg)
     dual = hom_r(m, trivial_module(h))
     inv = inverse(tau_h) is not None
     dual_inv = inverse(tau_h.transpose()) is not None

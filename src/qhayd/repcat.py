@@ -341,19 +341,24 @@ def ev_r(v: Module) -> ModuleMap:
     return ModuleMap(tensor(v, hom_r(v, unit)), unit, mat)
 
 
+def _uncurry_l_row(alpha_w: Matrix, g: Matrix) -> tuple:
+    """Entries of ev_l o (g (x) id) for g: V -> hom_l(W, unit), where
+    ``alpha_w`` is the action of alpha on W: v (x) w -> g(v)(alpha . w)."""
+    return (g.transpose() @ alpha_w).entries
+
+
+def _uncurry_r_row(beta_x: Matrix, g: Matrix) -> tuple:
+    """Entries of ev_r o (id (x) g) for g: V -> hom_r(X, unit), where
+    ``beta_x`` is the action of S^-1(alpha) on X: x (x) v -> g(v)(beta_x . x)."""
+    return (beta_x.transpose() @ g).entries
+
+
 def uncurry_l(g: ModuleMap, w: Module) -> ModuleMap:
     """From g: V -> hom_l(W, unit) build ev_l o (g (x) id): V (x) W -> unit."""
     h = w.h
     v = g.source
-    a = w.action_of(h.alpha)
-    entries = []
-    for iv in range(v.dim):
-        for iw in range(w.dim):
-            acc = h.field.zero()
-            for i in range(w.dim):
-                acc = acc + a.at(i, iw) * g.matrix.at(i, iv)
-            entries.append(acc)
-    mat = Matrix(h.field, 1, v.dim * w.dim, tuple(entries))
+    entries = _uncurry_l_row(w.action_of(h.alpha), g.matrix)
+    mat = Matrix(h.field, 1, v.dim * w.dim, entries)
     return ModuleMap(tensor(v, w), trivial_module(h), mat)
 
 
@@ -361,16 +366,28 @@ def uncurry_r(g: ModuleMap, x: Module) -> ModuleMap:
     """From g: V -> hom_r(X, unit) build ev_r o (id (x) g): X (x) V -> unit."""
     h = x.h
     v = g.source
-    b = x.action_of(h.s_inv.apply(h.alpha))
-    entries = []
-    for ix in range(x.dim):
-        for iv in range(v.dim):
-            acc = h.field.zero()
-            for i in range(x.dim):
-                acc = acc + b.at(i, ix) * g.matrix.at(i, iv)
-            entries.append(acc)
-    mat = Matrix(h.field, 1, x.dim * v.dim, tuple(entries))
+    entries = _uncurry_r_row(x.action_of(h.s_inv.apply(h.alpha)), g.matrix)
+    mat = Matrix(h.field, 1, x.dim * v.dim, entries)
     return ModuleMap(tensor(x, v), trivial_module(h), mat)
+
+
+def _curry(v: Module, w: Module, target: Module, rows) -> tuple:
+    """Curry H-linear maps V (x) W -> unit, given as nonempty entry ``rows``.
+
+    Returns the basis of Hom_H(V, target), target = hom_l(W, unit), and the
+    coordinates on it of every curried map, one column per row; one
+    elimination serves every row.
+    """
+    h = v.h
+    basis = hom_space(v, target)
+    if not basis:
+        raise InconsistentSystemError("no H-linear preimage exists (invalid algebra data)")
+    alpha_w = w.action_of(h.alpha)
+    sys = hstack([Matrix.column(h.field, _uncurry_l_row(alpha_w, b)) for b in basis])
+    sol = solve(sys, hstack([Matrix.column(h.field, r) for r in rows]))
+    if sol is None:
+        raise InconsistentSystemError("currying failed: input not in the image (invalid algebra data)")
+    return basis, sol.particular
 
 
 def curry_l(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
@@ -384,22 +401,11 @@ def curry_l(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
     if not is_module_morphism(f.matrix, tensor(v, w), unit):
         raise InconsistentSystemError("curry_l needs an H-linear input")
     target = hom_l(w, unit)
-    basis = hom_space(v, target)
-    if not basis:
-        if f.matrix.is_zero():
-            return ModuleMap(v, target, Matrix.zeros(h.field, target.dim, v.dim))
-        raise InconsistentSystemError("no H-linear preimage exists (invalid algebra data)")
-    images = [
-        Matrix.column(h.field, uncurry_l(ModuleMap(v, target, b), w).matrix.entries)
-        for b in basis
-    ]
-    sys = hstack(images)
-    sol = solve(sys, Matrix.column(h.field, f.matrix.entries))
-    if sol is None:
-        raise InconsistentSystemError("currying failed: input not in the image (invalid algebra data)")
-    coeffs = sol.particular.col(0)
     acc = Matrix.zeros(h.field, target.dim, v.dim)
-    for c, b in zip(coeffs, basis):
+    if f.matrix.is_zero():
+        return ModuleMap(v, target, acc)
+    basis, coords = _curry(v, w, target, [f.matrix.entries])
+    for c, b in zip(coords.col(0), basis):
         if c:
             acc = acc + b.scale(c)
     return ModuleMap(v, target, acc)
@@ -428,22 +434,30 @@ def iota_matrix(v: Module, w: Module):
     lists of 1-row matrices spanning Hom_H(V (x) W, unit) and
     Hom_H(W# (x) V, unit).
     """
+    return _iota_matrix(v, w, hom_space(tensor(v, w), trivial_module(v.h)))
+
+
+def _iota_matrix(v: Module, w: Module, dom: list):
+    """``iota_matrix`` with its domain basis ``dom`` already computed.
+
+    iota is linear, so it is applied to the whole domain basis at once:
+    every basis map is curried by one solve, and the images are the
+    uncurry_r images of the currying basis, combined by those coordinates.
+    """
     h = v.h
-    unit = trivial_module(h)
-    dom = hom_space(tensor(v, w), unit)
-    cod = hom_space(tensor(sharp(w), v), unit)
+    ws = sharp(w)
+    cod = hom_space(tensor(ws, v), trivial_module(h))
     if len(dom) != len(cod):
         raise InconsistentSystemError(
             "intertwiner spaces have different dimensions (invalid algebra data)"
         )
     if not dom:
         return Matrix.zeros(h.field, 0, 0), dom, cod
-    images = [
-        iota_apply(ModuleMap(tensor(v, w), unit, b), v, w).matrix for b in dom
-    ]
+    basis, coords = _curry(v, w, hom_l(w, trivial_module(h)), [b.entries for b in dom])
+    beta_ws = ws.action_of(h.s_inv.apply(h.alpha))
+    uncurried = hstack([Matrix.column(h.field, _uncurry_r_row(beta_ws, b)) for b in basis])
     cod_cols = hstack([Matrix.column(h.field, b.entries) for b in cod])
-    img_cols = hstack([Matrix.column(h.field, m.entries) for m in images])
-    sol = solve(cod_cols, img_cols)
+    sol = solve(cod_cols, uncurried @ coords)
     if sol is None:
         raise InconsistentSystemError("iota image leaves the intertwiner space")
     return sol.particular, dom, cod

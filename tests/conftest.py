@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from qhayd.zoo import build_entry, zoo_names
@@ -44,6 +47,33 @@ def k2w():
 @pytest.fixture
 def k3w():
     return entry("k3w")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(fn, ...)`` returns a Counter of calls by function name.
+
+    Each function is wrapped in every ``qhayd`` module that bound it by
+    name, so calls made through ``from .linalg import solve`` count too.
+    """
+
+    def counting(fn, counts):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def install(*fns):
+        counts = Counter()
+        for fn in fns:
+            wrapper = counting(fn, counts)
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] == "qhayd" and getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, wrapper)
+        return counts
+
+    return install
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import qhayd.ayd as ayd
+import qhayd.linalg as linalg
+import qhayd.repcat as repcat
 from qhayd.ayd import (
     AydTypeI,
     AydTypeII,
@@ -27,7 +29,7 @@ from qhayd.ayd import (
     tau_from_lambda,
     tau_from_rho,
 )
-from qhayd.ayd_solve import linear_space_type_i, linear_space_type_ii
+from qhayd.ayd_solve import enumerate_ayd_i, linear_space_type_i, linear_space_type_ii
 from qhayd.errors import InconsistentSystemError, ShapeError
 from qhayd.fields import PrimeField
 from qhayd.linalg import Matrix, kron
@@ -44,6 +46,7 @@ from qhayd.tensors import basis_vec
 from qhayd.zoo import build_entry, zoo_names
 
 from conftest import entry
+from oracles import stability_check_per_vector
 
 
 def valid_ayds(e):
@@ -109,7 +112,7 @@ def _random_point(space, field, rng):
 
 
 def test_lemma_bijection_on_random_samples_over_f3():
-    from qhayd.ayd_solve import linear_space_type_i, linear_space_type_ii
+    from qhayd.ayd_solve import enumerate_ayd_i, linear_space_type_i, linear_space_type_ii
     from qhayd.zoo import build_entry
 
     rng = random.Random(20240817)
@@ -253,6 +256,35 @@ def test_stability_cross_oracle_on_hopf_instances(zoo_entry):
         s = sigma_hopf(b.ayd)
         ident = Matrix.identity(b.ayd.module.field, b.ayd.module.dim)
         assert stability_check(b.ayd) == (s.matrix == ident), key
+
+
+def test_stability_matches_per_vector_oracle(zoo_entry):
+    for key, b in sorted(zoo_entry.ayds.items()):
+        assert stability_check(b.ayd) is stability_check_per_vector(b.ayd), key
+
+
+@pytest.mark.parametrize("name", ["z2", "h4"])
+def test_stability_matches_per_vector_oracle_on_enumerated_points(name):
+    triv = build_entry(name, PrimeField(3)).modules["trivial"]
+    points = enumerate_ayd_i(triv)
+    assert points
+    for p in points:
+        assert stability_check(p) is stability_check_per_vector(p), p.rho.entries
+
+
+def test_stability_check_work_is_one_iota_matrix(count_calls):
+    # dom, cod and the currying basis: nothing is rebuilt, nothing spent on tau_H
+    s3 = build_entry("s3", PrimeField(5))
+    reg = s3.modules["regular"]
+    h, f = reg.h, reg.field
+    rho = Matrix.from_rows(
+        f, [[h.unit[b] if mu == nu else f.zero() for mu in range(reg.dim)]
+            for nu in range(reg.dim) for b in range(h.dim)]
+    )
+    t = AydTypeI(reg, rho)
+    counts = count_calls(repcat.hom_space, repcat.tensor, linalg.solve)
+    stability_check(t)
+    assert counts == {"hom_space": 3, "tensor": 2, "solve": 7}
 
 
 def test_quasi_case_stability_verdicts_pinned(k2w):

@@ -1,9 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import qhayd.linalg as linalg
+import qhayd.repcat as repcat
 from qhayd.errors import InconsistentSystemError, ShapeError
-from qhayd.fields import QQ
+from qhayd.fields import QQ, PrimeField
 from qhayd.linalg import Matrix, inverse, rank
 from qhayd.repcat import (
     ModuleMap,
@@ -33,7 +36,14 @@ from qhayd.repcat import (
     uncurry_r,
 )
 from qhayd.tensors import basis_vec
+from qhayd.zoo import build_entry
 
+from oracles import (
+    curry_l_per_vector,
+    iota_matrix_per_vector,
+    uncurry_l_entrywise,
+    uncurry_r_entrywise,
+)
 from test_ayd import kron_slotwise_action
 
 
@@ -344,6 +354,78 @@ def test_iota_naturality_square(h4):
                 Matrix.identity(QQ, reg.dim), u
             )
             assert lhs.matrix == rhs_mat
+
+
+def exact(m: Matrix):
+    """A matrix down to the type of each entry."""
+    return m.rows, m.cols, tuple((type(x), x) for x in m.entries)
+
+
+def assert_same_iota(got, want):
+    (mat, dom, cod), (mat0, dom0, cod0) = got, want
+    assert exact(mat) == exact(mat0)
+    assert [exact(b) for b in dom] == [exact(b) for b in dom0]
+    assert [exact(b) for b in cod] == [exact(b) for b in cod0]
+
+
+def test_iota_matrix_matches_per_vector_oracle(zoo_entry):
+    mods = small_modules(zoo_entry)
+    for v in mods:
+        for w in mods:
+            assert_same_iota(iota_matrix(v, w), iota_matrix_per_vector(v, w))
+
+
+def test_iota_matrix_matches_per_vector_oracle_at_ayd_modules(zoo_entry):
+    reg = regular_module(zoo_entry.algebra)
+    for key, b in sorted(zoo_entry.ayds.items()):
+        m = b.ayd.module
+        assert_same_iota(iota_matrix(m, reg), iota_matrix_per_vector(m, reg))
+
+
+def test_curry_and_uncurry_match_entrywise_oracles(zoo_entry):
+    h = zoo_entry.algebra
+    unit = trivial_module(h)
+    mods = small_modules(zoo_entry, max_dim=2)
+    for v in mods:
+        for w in mods:
+            vw = tensor(v, w)
+            for f in hom_space(vw, unit):
+                fm = ModuleMap(vw, unit, f)
+                g = curry_l(fm, v, w)
+                assert exact(g.matrix) == exact(curry_l_per_vector(fm, v, w).matrix)
+                assert exact(uncurry_l(g, w).matrix) == exact(
+                    uncurry_l_entrywise(g, w).matrix
+                )
+                ws = sharp(w)
+                gr = ModuleMap(v, hom_r(ws, unit), g.matrix)
+                assert exact(uncurry_r(gr, ws).matrix) == exact(
+                    uncurry_r_entrywise(gr, ws).matrix
+                )
+            zero = ModuleMap(vw, unit, Matrix.zeros(h.field, 1, vw.dim))
+            assert exact(curry_l(zero, v, w).matrix) == exact(
+                curry_l_per_vector(zero, v, w).matrix
+            )
+
+
+@pytest.mark.parametrize("first", ["regular", "trivial"])
+def test_iota_matrix_work_does_not_grow_with_the_domain(count_calls, first):
+    # one currying basis and one elimination serve every domain vector
+    s3 = build_entry("s3", PrimeField(5))
+    v, reg = s3.modules[first], s3.modules["regular"]
+    counts = count_calls(repcat.hom_space, repcat.tensor, linalg.solve)
+    mat, dom, cod = iota_matrix(v, reg)
+    assert len(dom) == v.dim
+    assert counts == {"hom_space": 3, "tensor": 2, "solve": 5}
+
+
+def test_iota_matrix_refuses_zero_alpha(z2):
+    h = dataclasses.replace(z2.algebra, alpha=(QQ.zero(),) * z2.algebra.dim)
+    reg = regular_module(h)
+    msg = "currying failed: input not in the image (invalid algebra data)"
+    for iota in (iota_matrix, iota_matrix_per_vector):
+        with pytest.raises(InconsistentSystemError) as err:
+            iota(reg, reg)
+        assert str(err.value) == msg
 
 
 def test_mismatched_algebras_rejected(z2, h4):
