@@ -112,7 +112,7 @@ def _random_point(space, field, rng):
 
 
 def test_lemma_bijection_on_random_samples_over_f3():
-    from qhayd.ayd_solve import enumerate_ayd_i, linear_space_type_i, linear_space_type_ii
+    from qhayd.ayd_solve import linear_space_type_i, linear_space_type_ii
     from qhayd.zoo import build_entry
 
     rng = random.Random(20240817)
