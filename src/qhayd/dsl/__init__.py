@@ -4,7 +4,6 @@ from .ast_nodes import Context, ContextVar, CoactionDecl, ExprSum, SwdDocument
 from .compiler import ContractionPlan, compile_expression
 from .evaluator import Bindings, Counterexample, eval_equation, eval_expression
 from .parser import load_swd, parse_context, parse_equation, parse_expression
-from .printer import print_equation, print_expression
 
 __all__ = [
     "Context",
@@ -22,6 +21,4 @@ __all__ = [
     "parse_context",
     "parse_equation",
     "parse_expression",
-    "print_equation",
-    "print_expression",
 ]

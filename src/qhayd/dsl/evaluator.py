@@ -2,8 +2,13 @@
 
 Free variables range over the basis of their sort; both sides of an
 equation are evaluated for every assignment and compared coefficientwise.
-Execution sweeps the plan's nodes in order, maintaining a sparse state
-mapping live-wire index tuples to scalars.
+Each term is a tensor network: every plan node is a sparse tensor
+labelled by its wires, and two tensors that share a wire are contracted
+by a hash join on their shared wires until one tensor is left (parts
+with no wire between them are joined by an outer product).  The pair
+with the smallest product of nonzero counts goes first; that order is
+chosen on a term's first assignment and replayed for the others.
+Arithmetic is exact, so the order changes no value.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from ..errors import ShapeError
-from ..qha import QuasiHopfAlgebra, delta_tree_matrix
+from ..qha import QuasiBialgebra, QuasiHopfAlgebra, tree_leaves
 from ..repcat import Module
 from .ast_nodes import Context, ExprSum
 from .compiler import ContractionPlan, compile_expression
@@ -48,11 +53,13 @@ class Counterexample:
 
 
 class _NodeTensors:
-    """Sparse node tensors for one bound structure, built lazily and cached."""
+    """Sparse node tensors for one bound structure, built lazily and cached,
+    and the contraction order of each term evaluated against it."""
 
     def __init__(self, b: Bindings):
         self.b = b
         self.cache = {}
+        self.orders = {}
 
     def get(self, node, context: Context):
         key = (node.kind, node.meta)
@@ -68,22 +75,7 @@ class _NodeTensors:
         f = h.field
         kind = node.kind
         if kind == "delta":
-            mat = delta_tree_matrix(h.qb, node.meta[0])
-            k = len(node.out_wires)
-            sp = {}
-            for j in range(n):
-                col = mat.col(j)
-                for flat, c in enumerate(col):
-                    if c:
-                        idx = []
-                        rem = flat
-                        for _ in range(k):
-                            idx.append(0)
-                        for s in range(k - 1, -1, -1):
-                            idx[s] = rem % n
-                            rem //= n
-                        sp[(j, *idx)] = c
-            return sp
+            return _delta_tree_tensor(h.qb, node.meta[0])
         if kind == "mu":
             sp = {}
             for i in range(n):
@@ -124,6 +116,29 @@ class _NodeTensors:
         raise ShapeError(f"unknown node kind {kind!r}")
 
 
+def _delta_tree_tensor(qb: QuasiBialgebra, tree) -> dict:
+    """{(j, i_1, ..., i_k): c} of the iterated coproduct with the given bracketing.
+
+    Each Delta(e_j) is expanded leaf by leaf from its sparse coproduct, so
+    the work follows the nonzeros rather than the n^k x n matrix of
+    ``delta_tree_matrix``.
+    """
+
+    def expand(sp, subtree, slot):
+        if subtree is None:
+            return sp
+        left, right = subtree
+        sp = expand(qb.slot_delta(sp, slot), left, slot)
+        return expand(sp, right, slot + tree_leaves(left))
+
+    one = qb.field.one()
+    return {
+        (j, *idx): c
+        for j in range(qb.dim)
+        for idx, c in expand({(j,): one}, tree, 0).items()
+    }
+
+
 def _action_tensor(m: Module):
     sp = {}
     for a in range(m.h.dim):
@@ -136,7 +151,7 @@ def _action_tensor(m: Module):
     return sp
 
 
-def _wire_sorts(term_plan, plan: ContractionPlan, context: Context):
+def _wire_sorts(term_plan, context: Context):
     """Sort ('algebra' or ('module', name)) of every wire in a term."""
     sorts = {}
     for node in term_plan.nodes:
@@ -165,10 +180,62 @@ def _scalar_coeff(field, num: int, den: int):
     return c
 
 
+def _contract(a, b):
+    """Sum two labelled sparse tensors over the wires they share.
+
+    Each tensor is (wire labels, {index tuple: value}); with no shared
+    wire this is the outer product.  ``b`` is indexed by its values on the
+    shared wires, and each entry of ``a`` meets only its matches.
+    """
+    (la, ta), (lb, tb) = a, b
+    pa = [i for i, w in enumerate(la) if w in lb]
+    pb = [lb.index(la[i]) for i in pa]
+    ra = [i for i, w in enumerate(la) if w not in lb]
+    rb = [i for i, w in enumerate(lb) if w not in la]
+    index = {}
+    for key, v in tb.items():
+        index.setdefault(tuple(key[p] for p in pb), []).append((tuple(key[p] for p in rb), v))
+    out = {}
+    for key, u in ta.items():
+        matches = index.get(tuple(key[p] for p in pa))
+        if not matches:
+            continue
+        kept = tuple(key[p] for p in ra)
+        for rest, v in matches:
+            k = kept + rest
+            out[k] = out[k] + u * v if k in out else u * v
+    labels = tuple(la[i] for i in ra) + tuple(lb[i] for i in rb)
+    return labels, {k: v for k, v in out.items() if v}
+
+
+def _cheapest_pair(net):
+    """The pair (i, j), i < j, of tensors to contract next, or None if one is left.
+
+    Candidates are the two ends of a wire (each internal wire has exactly
+    two); once no wire joins two tensors, every pair is a candidate.  The
+    smallest product of nonzero counts wins, then the lower indices.
+    """
+    if len(net) < 2:
+        return None
+    ends = {}
+    for i, (labels, _) in enumerate(net):
+        for w in labels:
+            ends.setdefault(w, []).append(i)
+    pairs = {tuple(e) for e in ends.values() if len(e) == 2} or {
+        (i, j) for i in range(len(net)) for j in range(i + 1, len(net))
+    }
+    return min(pairs, key=lambda p: (len(net[p[0]][1]) * len(net[p[1]][1]), p))
+
+
+def _merge(net, pair):
+    i, j = pair
+    net[i] = _contract(net[i], net.pop(j))
+
+
 def _exec_term(term_plan, tensors: _NodeTensors, b: Bindings, context: Context,
                assignment: dict, wire_sorts) -> dict:
-    live = []          # wire ids in state-key order
-    state = {(): _scalar_coeff(b.algebra.field, *term_plan.scalar)}
+    """Sparse output tensor of one term for one basis assignment."""
+    net = []
     for node in term_plan.nodes:
         if node.kind == "var":
             sp = {(assignment[node.meta[0]],): b.algebra.field.one()}
@@ -180,44 +247,49 @@ def _exec_term(term_plan, tensors: _NodeTensors, b: Bindings, context: Context,
                 tensors.cache[("action", sort)] = sp
         else:
             sp = tensors.get(node, context)
-        in_pos = [live.index(w) for w in node.in_wires]
-        n_in = len(node.in_wires)
-        new_live = [w for w in live if w not in node.in_wires] + list(node.out_wires)
-        keep_pos = [i for i, w in enumerate(live) if w not in node.in_wires]
-        new_state = {}
-        for key, val in state.items():
-            in_vals = tuple(key[p] for p in in_pos)
-            kept = tuple(key[p] for p in keep_pos)
-            for nkey, nval in sp.items():
-                if nkey[:n_in] != in_vals:
-                    continue
-                out_key = kept + nkey[n_in:]
-                acc = val * nval
-                if out_key in new_state:
-                    new_state[out_key] = new_state[out_key] + acc
-                else:
-                    new_state[out_key] = acc
-        state = {k: v for k, v in new_state.items() if v}
-        live = new_live
-    # reorder to the declared output wire order
-    perm = [live.index(w) for w in term_plan.output_wires]
-    return {tuple(k[p] for p in perm): v for k, v in state.items()}
+        net.append((node.in_wires + node.out_wires, sp))
+    # node tensors do not depend on the assignment (a var tensor has one
+    # entry), so the order chosen on the first assignment is replayed for
+    # the rest; exact arithmetic gives the same values in any order
+    order = tensors.orders.get(term_plan)
+    if order is None:
+        order = []
+        while (pair := _cheapest_pair(net)) is not None:
+            order.append(pair)
+            _merge(net, pair)
+        tensors.orders[term_plan] = order
+    else:
+        for pair in order:
+            _merge(net, pair)
+    labels, sp = net[0]
+    c = _scalar_coeff(b.algebra.field, *term_plan.scalar)
+    perm = [labels.index(w) for w in term_plan.output_wires]
+    out = {}
+    for k, v in sp.items():
+        v = v * c
+        if v:
+            out[tuple(k[p] for p in perm)] = v
+    return out
+
+
+def _side(plan: ContractionPlan, context: Context, b: Bindings, tensors: _NodeTensors):
+    """One side of an equation as a function: assignment -> its sparse output."""
+    terms = [(tp, _wire_sorts(tp, context)) for tp in plan.terms]
+
+    def value(assignment):
+        total = {}
+        for tp, sorts in terms:
+            for k, v in _exec_term(tp, tensors, b, context, assignment, sorts).items():
+                total[k] = total[k] + v if k in total else v
+        return {k: v for k, v in total.items() if v}
+
+    return value
 
 
 def eval_expression(plan: ContractionPlan, context: Context, b: Bindings,
                     assignment: dict) -> dict:
     """Sparse output tensor of the expression for one basis assignment."""
-    tensors = _NodeTensors(b)
-    total = {}
-    for tp in plan.terms:
-        sorts = _wire_sorts(tp, plan, context)
-        out = _exec_term(tp, tensors, b, context, assignment, sorts)
-        for k, v in out.items():
-            if k in total:
-                total[k] = total[k] + v
-            else:
-                total[k] = v
-    return {k: v for k, v in total.items() if v}
+    return _side(plan, context, b, _NodeTensors(b))(assignment)
 
 
 def _assignment_ranges(context: Context, b: Bindings):
@@ -240,20 +312,10 @@ def eval_equation(lhs: ExprSum, rhs: ExprSum, context: Context, b: Bindings):
     rp = compile_expression(rhs, context)
     names, ranges = _assignment_ranges(context, b)
     tensors = _NodeTensors(b)
+    lhs_at, rhs_at = _side(lp, context, b, tensors), _side(rp, context, b, tensors)
     for combo in product(*ranges):
         assignment = dict(zip(names, combo))
-        lout = {}
-        for tp in lp.terms:
-            sorts = _wire_sorts(tp, lp, context)
-            for k, v in _exec_term(tp, tensors, b, context, assignment, sorts).items():
-                lout[k] = lout.get(k, b.algebra.field.zero()) + v
-        rout = {}
-        for tp in rp.terms:
-            sorts = _wire_sorts(tp, rp, context)
-            for k, v in _exec_term(tp, tensors, b, context, assignment, sorts).items():
-                rout[k] = rout.get(k, b.algebra.field.zero()) + v
-        lout = {k: v for k, v in lout.items() if v}
-        rout = {k: v for k, v in rout.items() if v}
+        lout, rout = lhs_at(assignment), rhs_at(assignment)
         if lout != rout:
             coord = sorted(set(lout) | set(rout))[0]
             z = b.algebra.field.zero()

@@ -9,11 +9,29 @@ currying basis, and each evaluation builds its matrix entry by entry.
 ``iota_matrix_per_vector`` and ``stability_check_per_vector`` are the
 former ``repcat.iota_matrix`` and ``ayd.stability_check``, running on
 these per-vector evaluations.
+
+The Sweedler evaluator's node sweep: ``exec_term_sweep`` is the former
+``dsl.evaluator._exec_term``, which applies a term's plan nodes one at a
+time to a single sparse state over every open wire, and
+``eval_equation_sweep`` is the former ``eval_equation`` running on it,
+with coproduct-tree tensors read off the dense ``delta_tree_matrix``.
 """
 
+from itertools import product
+
 from qhayd.ayd import AydTypeI, tau_from_rho
+from qhayd.dsl.compiler import compile_expression
+from qhayd.dsl.evaluator import (
+    Counterexample,
+    _action_tensor,
+    _assignment_ranges,
+    _NodeTensors,
+    _scalar_coeff,
+    _wire_sorts,
+)
 from qhayd.errors import InconsistentSystemError
 from qhayd.linalg import Matrix, hstack, solve, solve_unique
+from qhayd.qha import delta_tree_matrix
 from qhayd.repcat import (
     Module,
     ModuleMap,
@@ -162,3 +180,99 @@ def stability_check_per_vector(t: AydTypeI) -> bool:
     except InconsistentSystemError:
         return False
     return dcoords == Matrix.identity(f, len(dom2))
+
+
+class NodeTensorsDense(_NodeTensors):
+    """Node tensors with each coproduct tree read off ``delta_tree_matrix``."""
+
+    def _build(self, node, context):
+        if node.kind != "delta":
+            return super()._build(node, context)
+        h = self.b.algebra
+        n = h.dim
+        mat = delta_tree_matrix(h.qb, node.meta[0])
+        k = len(node.out_wires)
+        sp = {}
+        for j in range(n):
+            col = mat.col(j)
+            for flat, c in enumerate(col):
+                if c:
+                    idx = []
+                    rem = flat
+                    for _ in range(k):
+                        idx.append(0)
+                    for s in range(k - 1, -1, -1):
+                        idx[s] = rem % n
+                        rem //= n
+                    sp[(j, *idx)] = c
+        return sp
+
+
+def exec_term_sweep(term_plan, tensors, b, context, assignment, wire_sorts) -> dict:
+    live = []          # wire ids in state-key order
+    state = {(): _scalar_coeff(b.algebra.field, *term_plan.scalar)}
+    for node in term_plan.nodes:
+        if node.kind == "var":
+            sp = {(assignment[node.meta[0]],): b.algebra.field.one()}
+        elif node.kind == "action":
+            sort = wire_sorts[node.in_wires[1]]
+            sp = tensors.cache.get(("action", sort))
+            if sp is None:
+                sp = _action_tensor(b.module(sort[1]))
+                tensors.cache[("action", sort)] = sp
+        else:
+            sp = tensors.get(node, context)
+        in_pos = [live.index(w) for w in node.in_wires]
+        n_in = len(node.in_wires)
+        new_live = [w for w in live if w not in node.in_wires] + list(node.out_wires)
+        keep_pos = [i for i, w in enumerate(live) if w not in node.in_wires]
+        new_state = {}
+        for key, val in state.items():
+            in_vals = tuple(key[p] for p in in_pos)
+            kept = tuple(key[p] for p in keep_pos)
+            for nkey, nval in sp.items():
+                if nkey[:n_in] != in_vals:
+                    continue
+                out_key = kept + nkey[n_in:]
+                acc = val * nval
+                if out_key in new_state:
+                    new_state[out_key] = new_state[out_key] + acc
+                else:
+                    new_state[out_key] = acc
+        state = {k: v for k, v in new_state.items() if v}
+        live = new_live
+    # reorder to the declared output wire order
+    perm = [live.index(w) for w in term_plan.output_wires]
+    return {tuple(k[p] for p in perm): v for k, v in state.items()}
+
+
+def eval_equation_sweep(lhs, rhs, context, b):
+    """Exact equality of both sides over all basis assignments.
+
+    Returns (True, None) or (False, Counterexample).
+    """
+    lp = compile_expression(lhs, context)
+    rp = compile_expression(rhs, context)
+    names, ranges = _assignment_ranges(context, b)
+    tensors = NodeTensorsDense(b)
+    for combo in product(*ranges):
+        assignment = dict(zip(names, combo))
+        lout = {}
+        for tp in lp.terms:
+            sorts = _wire_sorts(tp, context)
+            for k, v in exec_term_sweep(tp, tensors, b, context, assignment, sorts).items():
+                lout[k] = lout.get(k, b.algebra.field.zero()) + v
+        rout = {}
+        for tp in rp.terms:
+            sorts = _wire_sorts(tp, context)
+            for k, v in exec_term_sweep(tp, tensors, b, context, assignment, sorts).items():
+                rout[k] = rout.get(k, b.algebra.field.zero()) + v
+        lout = {k: v for k, v in lout.items() if v}
+        rout = {k: v for k, v in rout.items() if v}
+        if lout != rout:
+            coord = sorted(set(lout) | set(rout))[0]
+            z = b.algebra.field.zero()
+            return False, Counterexample(
+                assignment, coord, lout.get(coord, z), rout.get(coord, z)
+            )
+    return True, None

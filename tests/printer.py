@@ -1,8 +1,9 @@
-"""Canonical text form; parse(print(e)) reproduces e exactly."""
+"""Canonical text form of Sweedler expressions for the parser's round-trip
+tests; parse(print(e)) reproduces e exactly."""
 
 from __future__ import annotations
 
-from .ast_nodes import (
+from qhayd.dsl.ast_nodes import (
     ALPHA,
     BETA,
     ONE,

@@ -1,3 +1,7 @@
+import random
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from qhayd.ayd import check_type_i, check_type_ii, convert_i_to_ii
@@ -12,15 +16,25 @@ from qhayd.dsl import (
     load_swd,
     parse_equation,
     parse_expression,
-    print_equation,
-    print_expression,
 )
+from qhayd.dsl import evaluator
 from qhayd.dsl.corpus import corpus_names, load_corpus
+from qhayd.dsl.evaluator import (
+    _assignment_ranges,
+    _delta_tree_tensor,
+    _exec_term,
+    _NodeTensors,
+    _wire_sorts,
+)
 from qhayd.errors import DslParseError
 from qhayd.fields import QQ
-from qhayd.qha import validate
+from qhayd.linalg import Matrix
+from qhayd.qha import delta_tree_matrix, validate
+from qhayd.repcat import regular_module
 
 from conftest import entry
+from oracles import NodeTensorsDense, eval_equation_sweep, exec_term_sweep
+from printer import print_equation, print_expression
 
 ALG_CTX = Context((ContextVar("h", "algebra"),), ())
 
@@ -170,6 +184,113 @@ def _bind_i(e, b):
     return Bindings(e.algebra, {"M": b.ayd.module}, {"rho": ("M", b.ayd.rho)})
 
 
+def _matches_sweep(doc, bind):
+    """Hold the pairwise contraction to the former node sweep, exactly.
+
+    Both sides of the document agree term by term at every assignment, and
+    for an equation ``eval_equation`` gives the sweep's (ok, Counterexample),
+    which it returns.
+    """
+    ctx = doc.context
+    names, ranges = _assignment_ranges(ctx, bind)
+    tensors, dense = _NodeTensors(bind), NodeTensorsDense(bind)
+    for side in (doc.lhs, doc.rhs):
+        if side is None:
+            continue
+        for tp in compile_expression(side, ctx).terms:
+            sorts = _wire_sorts(tp, ctx)
+            for combo in product(*ranges):
+                a = dict(zip(names, combo))
+                assert _exec_term(tp, tensors, bind, ctx, a, sorts) == exec_term_sweep(
+                    tp, dense, bind, ctx, a, sorts
+                ), (a, tp)
+    if doc.rhs is None:
+        return None
+    got = eval_equation(doc.lhs, doc.rhs, ctx, bind)
+    assert got == eval_equation_sweep(doc.lhs, doc.rhs, ctx, bind)
+    return got
+
+
+def _trees(leaves):
+    """Every bracketing of the given number of coproduct leaves."""
+    if leaves == 1:
+        yield None
+        return
+    for k in range(1, leaves):
+        for left in _trees(k):
+            for right in _trees(leaves - k):
+                yield (left, right)
+
+
+def test_delta_tree_tensor_matches_delta_tree_matrix(zoo_entry):
+    # every zoo coproduct is coassociative, so all bracketings give one
+    # tensor there; a scrambled coproduct, three terms per column, tells
+    # the bracketings apart
+    qb = zoo_entry.algebra.qb
+    n, f = qb.dim, qb.field
+    rng = random.Random(n)
+    entries = [f.zero()] * (n * n * n)
+    for j in range(n):
+        for flat in rng.sample(range(n * n), 3):
+            entries[flat * n + j] = f.from_int(rng.randint(1, 4))
+    scrambled = replace(qb, delta=Matrix(f, n * n, n, tuple(entries)))
+    for q in (qb, scrambled):
+        for leaves in range(1, 5):
+            for tree in _trees(leaves):
+                mat = delta_tree_matrix(q, tree)
+                dense = {
+                    (j, *(flat // n ** (leaves - 1 - s) % n for s in range(leaves))): c
+                    for j in range(n)
+                    for flat, c in enumerate(mat.col(j))
+                    if c
+                }
+                assert _delta_tree_tensor(q, tree) == dense, tree
+
+
+def test_contraction_matches_sweep_on_every_zoo_ayd(zoo_entry):
+    h = zoo_entry.algebra
+    docs = [load_corpus(name) for name in corpus_names()]
+    type_i = [d for d in docs if [c.kind for c in d.context.coactions] == ["rho"]]
+    type_ii = [d for d in docs if [c.kind for c in d.context.coactions] == ["lam"]]
+    reg = regular_module(h)
+    for _, b in sorted(zoo_entry.ayds.items()):
+        t2 = convert_i_to_ii(b.ayd)
+        bind_ii = Bindings(h, {"M": t2.module, "V": reg}, {"lam": ("M", t2.lam)})
+        for doc in type_i:
+            _matches_sweep(doc, _bind_i(zoo_entry, b))
+        for doc in type_ii:
+            _matches_sweep(doc, bind_ii)
+    # rho = m (x) 1 on the regular module covers entries with no bundled AYD
+    d, n = reg.dim, h.dim
+    unit = Matrix.from_rows(
+        h.field, [[h.unit[r % n] if r // n == mu else h.field.zero() for mu in range(d)]
+                  for r in range(d * n)]
+    )
+    for doc in type_i:
+        _matches_sweep(doc, Bindings(h, {"M": reg}, {"rho": ("M", unit)}))
+
+
+def test_quasi_comodule_ii_intermediates_stay_small(monkeypatch):
+    # the former sweep carried one state over every open wire, 16,384
+    # entries here on a 2-dimensional algebra
+    sizes = []
+    contract = evaluator._contract
+
+    def recording(a, b):
+        out = contract(a, b)
+        sizes.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(evaluator, "_contract", recording)
+    k2w = entry("k2w")
+    t2 = convert_i_to_ii(k2w.ayds["point_plus"].ayd)
+    doc = load_corpus("quasi_comodule_ii")
+    bind = Bindings(k2w.algebra, {"M": t2.module}, {"lam": ("M", t2.lam)})
+    ok, _ = eval_equation(doc.lhs, doc.rhs, doc.context, bind)
+    assert ok
+    assert sizes and max(sizes) <= 64
+
+
 def test_counit_axiom_as_equation_on_z2():
     z2 = entry("z2")
     doc = load_corpus("counit_left")
@@ -193,7 +314,7 @@ def test_algebra_equations_hold_on_every_zoo_algebra(zoo_entry):
                  "antipode_left", "antipode_right",
                  "antipode_assoc", "antipode_assoc_inv"):
         doc = load_corpus(name)
-        ok, ce = eval_equation(doc.lhs, doc.rhs, doc.context, Bindings(zoo_entry.algebra))
+        ok, ce = _matches_sweep(doc, Bindings(zoo_entry.algebra))
         assert ok, (name, ce)
 
 
@@ -244,12 +365,15 @@ def test_dsl_partial_mutants_agree_with_checker_verdicts():
     m = e.modules["trivial"]
     space = linear_space_type_i(m)
     doc = load_corpus("quasi_comodule")
+    failed = 0
     for c in range(3):
         t = AydTypeI(m, Matrix(f3, 2, 1, tuple(space.point([f3.from_int(c)]).col(0))))
         hand = check_type_i(t).item("quasi-comodule").passed
         bind = Bindings(e.algebra, {"M": m}, {"rho": ("M", t.rho)})
-        ok, _ = eval_equation(doc.lhs, doc.rhs, doc.context, bind)
+        ok, _ = _matches_sweep(doc, bind)
         assert ok == hand
+        failed += not ok
+    assert failed
 
 
 def test_random_non_ayd_map_fails_with_witness():
@@ -260,7 +384,7 @@ def test_random_non_ayd_map_fails_with_witness():
     rho = Matrix.from_rows(QQ, [[QQ.one()], [QQ.zero()], [QQ.zero()], [QQ.zero()]])
     doc = load_corpus("ayd_module")
     bind = Bindings(h4.algebra, {"M": triv}, {"rho": ("M", rho)})
-    ok, ce = eval_equation(doc.lhs, doc.rhs, doc.context, bind)
+    ok, ce = _matches_sweep(doc, bind)
     assert not ok
     assert ce.assignment["h"] == 2  # the witness is the basis element x
     assert ce.lhs != ce.rhs
