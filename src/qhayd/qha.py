@@ -7,8 +7,10 @@ and the distinguished elements alpha and beta appearing in the twisted
 antipode identities.
 
 Elements of H are coefficient tuples over the basis; elements of tensor
-powers H^(x)k are handled sparsely as dicts from multi-indices to scalars,
-which keeps the degree-4 identity cheap even for 6-dimensional algebras.
+powers H^(x)k are handled sparsely as dicts from multi-indices to scalars.
+Their products are a slot-wise join over the nonzeros: a pair of terms is
+multiplied only when every slot product is nonzero, which keeps the
+degree-4 pentagon cheap even when Phi has many terms.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ __all__ = [
     "mul",
     "coproduct",
     "antipode",
-    "antipode_inv",
     "counit_of",
-    "iterated_coproduct",
-    "left_comb",
-    "right_comb",
     "tree_leaves",
     "delta_tree_matrix",
 ]
@@ -109,6 +107,11 @@ class Algebra:
             for i in range(n)
         )
         object.__setattr__(self, "_mult_nz", nz)
+        # partners[a]: the (b, nonzeros of e_a e_b) with e_a e_b != 0
+        partners = tuple(
+            tuple((j, prod) for j, prod in enumerate(row) if prod) for row in nz
+        )
+        object.__setattr__(self, "_partners", partners)
 
     def mul_vec(self, a, b) -> tuple:
         """Product of two elements given as coefficient tuples."""
@@ -133,18 +136,37 @@ class Algebra:
         return Matrix.from_rows(self.field, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def power_mul(self, u: dict, v: dict, order: int) -> dict:
-        """Product in H^(x)order of two sparse elements."""
+        """Product in H^(x)order of two sparse elements, as a join over the slots.
+
+        ``v`` is indexed once as a trie on its slots. Each nonzero of ``u``
+        walks the trie slot by slot, following only the partners b of its
+        slot index a (e_a e_b != 0) that the trie holds, so coefficients
+        are multiplied only along pairs whose every slot product is nonzero.
+        """
+        trie = {}
+        for iv, cv in v.items():
+            node = trie
+            for s in range(order - 1):
+                node = node.setdefault(iv[s], {})
+            node[iv[order - 1]] = cv
+        partners = self._partners
         out = {}
         for iu, cu in u.items():
-            for iv, cv in v.items():
-                coeff = cu * cv
+            # each match is (trie node below the slots seen, their slot products)
+            matches = [(trie, ())]
+            for s in range(order):
+                matches = [
+                    (node[b], prods + (nz,))
+                    for node, prods in matches
+                    for b, nz in partners[iu[s]]
+                    if b in node
+                ]
+                if not matches:
+                    break
+            for cv, prods in matches:
                 # expand the product of basis tensors slot by slot
-                terms = [((), coeff)]
-                for s in range(order):
-                    nz = self._mult_nz[iu[s]][iv[s]]
-                    if not nz:
-                        terms = []
-                        break
+                terms = [((), cu * cv)]
+                for nz in prods:
                     terms = [
                         (idx + (l,), c * m) for idx, c in terms for l, m in nz
                     ]
@@ -361,31 +383,8 @@ def antipode(h: QuasiHopfAlgebra, a) -> tuple:
     return h.s.apply(a)
 
 
-def antipode_inv(h: QuasiHopfAlgebra, a) -> tuple:
-    return h.s_inv.apply(a)
-
-
 def counit_of(h: QuasiHopfAlgebra, a):
     return h.counit.apply(a)[0]
-
-
-def left_comb(k: int):
-    """The bracketing (((. .) .) ...) with k leaves."""
-    if k < 1:
-        raise ShapeError("bracketing needs at least one leaf")
-    tree = None
-    for _ in range(k - 1):
-        tree = (tree, None)
-    return tree
-
-
-def right_comb(k: int):
-    if k < 1:
-        raise ShapeError("bracketing needs at least one leaf")
-    tree = None
-    for _ in range(k - 1):
-        tree = (None, tree)
-    return tree
 
 
 def tree_leaves(tree) -> int:
@@ -408,12 +407,6 @@ def delta_tree_matrix(qb: QuasiBialgebra, tree) -> Matrix:
         m = kron(delta_tree_matrix(qb, left), delta_tree_matrix(qb, right)) @ qb.delta
     cache[tree] = m
     return m
-
-
-def iterated_coproduct(h: QuasiHopfAlgebra, a, tree) -> Tensor:
-    k = tree_leaves(tree)
-    mat = delta_tree_matrix(h.qb, tree)
-    return Tensor(h.field, h.dim, k, mat.apply(a))
 
 
 # -- axiom checks --------------------------------------------------------------
@@ -591,8 +584,9 @@ def check_phi_invertible(qb: QuasiBialgebra) -> CheckReport:
     alg, n, f = qb.algebra, qb.dim, qb.field
     unit_sp = sparse_from_vec(alg.unit, (n,))
     triple = sparse_kron(sparse_kron(unit_sp, unit_sp), unit_sp)
-    ab = alg.power_mul(qb.phi_sparse(), qb.phi_inv_sparse(), 3)
-    ba = alg.power_mul(qb.phi_inv_sparse(), qb.phi_sparse(), 3)
+    phi_sp, phi_inv_sp = qb.phi_sparse(), qb.phi_inv_sparse()
+    ab = alg.power_mul(phi_sp, phi_inv_sp, 3)
+    ba = alg.power_mul(phi_inv_sp, phi_sp, 3)
     if ab != triple or ba != triple:
         rep.add_fail(
             "associator-invertible", (),

@@ -15,6 +15,13 @@ The Sweedler evaluator's node sweep: ``exec_term_sweep`` is the former
 time to a single sparse state over every open wire, and
 ``eval_equation_sweep`` is the former ``eval_equation`` running on it,
 with coproduct-tree tensors read off the dense ``delta_tree_matrix``.
+
+Products in H^(x)k over every pair of nonzeros: ``power_mul_pairs`` is the
+former ``Algebra.power_mul``, which tries each pair (u-term, v-term) and
+drops it at the first slot whose product is zero.
+
+Element primitives with no caller in the library: ``antipode_inv``, the
+comb bracketings ``left_comb``/``right_comb`` and ``iterated_coproduct``.
 """
 
 from itertools import product
@@ -29,9 +36,9 @@ from qhayd.dsl.evaluator import (
     _scalar_coeff,
     _wire_sorts,
 )
-from qhayd.errors import InconsistentSystemError
+from qhayd.errors import InconsistentSystemError, ShapeError
 from qhayd.linalg import Matrix, hstack, solve, solve_unique
-from qhayd.qha import delta_tree_matrix
+from qhayd.qha import Algebra, QuasiHopfAlgebra, delta_tree_matrix, tree_leaves
 from qhayd.repcat import (
     Module,
     ModuleMap,
@@ -44,6 +51,60 @@ from qhayd.repcat import (
     tensor,
     trivial_module,
 )
+from qhayd.tensors import Tensor
+
+
+def power_mul_pairs(alg: Algebra, u: dict, v: dict, order: int) -> dict:
+    """Product in H^(x)order of two sparse elements."""
+    out = {}
+    for iu, cu in u.items():
+        for iv, cv in v.items():
+            coeff = cu * cv
+            # expand the product of basis tensors slot by slot
+            terms = [((), coeff)]
+            for s in range(order):
+                nz = alg._mult_nz[iu[s]][iv[s]]
+                if not nz:
+                    terms = []
+                    break
+                terms = [
+                    (idx + (l,), c * m) for idx, c in terms for l, m in nz
+                ]
+            for idx, c in terms:
+                if idx in out:
+                    out[idx] = out[idx] + c
+                else:
+                    out[idx] = c
+    return {k: v for k, v in out.items() if v}
+
+
+def antipode_inv(h: QuasiHopfAlgebra, a) -> tuple:
+    return h.s_inv.apply(a)
+
+
+def left_comb(k: int):
+    """The bracketing (((. .) .) ...) with k leaves."""
+    if k < 1:
+        raise ShapeError("bracketing needs at least one leaf")
+    tree = None
+    for _ in range(k - 1):
+        tree = (tree, None)
+    return tree
+
+
+def right_comb(k: int):
+    if k < 1:
+        raise ShapeError("bracketing needs at least one leaf")
+    tree = None
+    for _ in range(k - 1):
+        tree = (None, tree)
+    return tree
+
+
+def iterated_coproduct(h: QuasiHopfAlgebra, a, tree) -> Tensor:
+    k = tree_leaves(tree)
+    mat = delta_tree_matrix(h.qb, tree)
+    return Tensor(h.field, h.dim, k, mat.apply(a))
 
 
 def uncurry_l_entrywise(g: ModuleMap, w: Module) -> ModuleMap:

@@ -1,15 +1,18 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhayd.errors import ShapeError
-from qhayd.fields import QQ, PrimeField
+from qhayd.fields import QQ, PrimeField, PrimeFieldElement
 from qhayd.linalg import Matrix, kron
 from qhayd.qha import (
+    Algebra,
     _invert_associator,
     _left_mult_matrix_3,
     antipode,
-    antipode_inv,
     check_antipode,
     check_counit,
     check_pentagon,
@@ -18,10 +21,8 @@ from qhayd.qha import (
     coproduct,
     counit_of,
     delta_tree_matrix,
-    iterated_coproduct,
-    left_comb,
+    make_quasi_hopf,
     mul,
-    right_comb,
     sparse_from_vec,
     sparse_kron,
     tree_leaves,
@@ -31,6 +32,7 @@ from qhayd.tensors import Tensor, basis_vec
 from qhayd.zoo import build_entry, sweedler_h4, zoo_names
 
 from conftest import entry
+from oracles import antipode_inv, iterated_coproduct, left_comb, power_mul_pairs, right_comb
 
 
 def test_every_zoo_algebra_validates(zoo_entry):
@@ -233,3 +235,108 @@ def test_computed_associator_inverse_is_two_sided(zoo_entry):
     phi_sp, inv_sp = h.qb.phi_sparse(), dict(phi_inv.nonzeros())
     assert alg.power_mul(phi_sp, inv_sp, 3) == triple
     assert alg.power_mul(inv_sp, phi_sp, 3) == triple
+
+
+# -- products in H^(x)k: the slot-wise join against the pair loop --------------
+
+
+def _scrambled_algebra():
+    """A 3-dimensional 'algebra' over F_5 with random structure constants (not
+    associative): slot products are zero, one term or several terms."""
+    f, n = PrimeField(5), 3
+    rng = random.Random(1)
+    mult = tuple(
+        tuple(
+            (f.zero(),) * n if rng.random() < 1 / 3
+            else tuple(f.one() * rng.randrange(5) for _ in range(n))
+            for _ in range(n)
+        )
+        for _ in range(n)
+    )
+    return Algebra(f, n, ("a", "b", "c"), mult, (f.one(), f.zero(), f.zero()))
+
+
+_POWER_MUL_ALGEBRAS = [entry(name).algebra.algebra for name in zoo_names()] + [_scrambled_algebra()]
+
+
+@st.composite
+def _power_mul_case(draw):
+    alg = draw(st.sampled_from(_POWER_MUL_ALGEBRAS))
+    order = draw(st.integers(1, 4))
+    f = alg.field
+    index = st.tuples(*[st.integers(0, alg.dim - 1)] * order)
+    coeff = st.integers(-2, 2).map(lambda c: f.one() * c)
+
+    def element():
+        return draw(st.dictionaries(index, coeff, max_size=6))
+
+    return alg, order, element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_mul_case())
+def test_power_mul_matches_pair_loop(case):
+    alg, order, u, v = case
+    fast = {k: c for k, c in alg.power_mul(u, v, order).items() if c}
+    slow = {k: c for k, c in power_mul_pairs(alg, u, v, order).items() if c}
+    assert fast == slow
+
+
+def test_power_mul_drops_terms_that_cancel(h4):
+    # (g + x)(x + g) = gx + 1 + 0 - gx in Sweedler's H4
+    alg = h4.algebra.algebra
+    one = alg.field.one()
+    u = {(1,): one, (2,): one}
+    v = {(2,): one, (1,): one}
+    assert alg.power_mul(u, v, 1) == {(0,): one} == power_mul_pairs(alg, u, v, 1)
+    assert alg.power_mul({}, v, 1) == {} == alg.power_mul(u, {}, 1)
+
+
+def _functions_on_cyclic(n, p):
+    """Functions on Z/n over F_p with Phi = sum e_i (x) e_j (x) e_k, Phi^-1 computed."""
+    f = PrimeField(p)
+    one, zero = f.one(), f.zero()
+
+    def e(i):
+        return [one if j == i else zero for j in range(n)]
+
+    mult = [[e(i) if i == j else [zero] * n for j in range(n)] for i in range(n)]
+    delta_rows = []
+    for i in range(n):
+        row = [zero] * (n * n)
+        for j in range(n):
+            row[j * n + (i - j) % n] = one
+        delta_rows.append(row)
+    phi = Tensor(f, n, 3, (one,) * n ** 3)
+    s_cols = [e((-j) % n) for j in range(n)]
+    return make_quasi_hopf(
+        f, [f"e{i}" for i in range(n)], mult, [one] * n, delta_rows, e(0), phi,
+        s_cols, [one] * n, [one] * n,
+    )
+
+
+def test_pentagon_work_follows_contributing_pairs(monkeypatch):
+    # Phi = 1 (x) 1 (x) 1 written as 125 idempotent terms; the pair loop
+    # makes 1,467,500 multiplications here
+    h = _functions_on_cyclic(5, 7)
+    calls = [0]
+    mul_fp = PrimeFieldElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul_fp(self, other)
+
+    monkeypatch.setattr(PrimeFieldElement, "__mul__", counting)
+    assert check_pentagon(h.qb).passed
+    assert calls[0] <= 20_000
+
+
+@pytest.mark.parametrize("name", ["z4_f7", "k2w"])
+def test_validate_report_matches_pair_loop_on_perturbed_phi(name, monkeypatch):
+    h = _functions_on_cyclic(4, 7) if name == "z4_f7" else entry(name).algebra
+    mutant = _mutate_qha(h, "phi", 7)
+    fast = json.dumps(validate(mutant).to_json(mutant.field.format))
+    monkeypatch.setattr(Algebra, "power_mul", power_mul_pairs)
+    slow_rep = validate(mutant)
+    assert not slow_rep.passed
+    assert fast == json.dumps(slow_rep.to_json(mutant.field.format))
