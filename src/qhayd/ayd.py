@@ -8,10 +8,12 @@ determines everything by naturality, and the two presentations convert
 into each other through it.
 
 The per-element compatibility and the counit condition are linear in the
-coaction.  Each is defined once here, by a generator of (location, lhs, rhs)
-blocks (``compat_i_blocks``, ``compat_ii_blocks``, ``counit_blocks``): the
-checkers report the first block whose sides differ, and ``ayd_solve``
-assembles the same blocks into its linear system.
+coaction x.  Each is defined once here, as (location, lhs, rhs) blocks
+whose sides list sparse linear forms {(nu * n + b) * d + mu': coefficient}
+in the entries x[(nu, b), mu'], the key None holding a constant.  The forms
+range over ``coaction_support``: x's nonzeros for the checkers, which
+evaluate them at x (``compat_i_blocks`` and its siblings), and every entry
+for ``ayd_solve``, which writes them into its linear system.
 
 The coassociativity-type compatibility (the "quasi-comodule" conditions)
 is checked compositionally: both sides of the hexagon at V = W = H are
@@ -32,11 +34,12 @@ of its H-elements (``_tau_elements``), so the module V (x) W is never built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import InconsistentSystemError, ShapeError
 from .linalg import Matrix, hstack, inverse, kron, solve, solve_unique
-from .qha import delta_tree_matrix, vec_from_sparse
+from .qha import delta_tree_tensor, vec_from_sparse
 from .reports import CheckReport
 from .repcat import (
     Module,
@@ -60,9 +63,12 @@ __all__ = [
     "AydTypeII",
     "HalfBraiding",
     "DualCentralData",
-    "r_tensor_module",
     "check_type_i",
     "check_type_ii",
+    "coaction_support",
+    "compat_i_forms",
+    "compat_ii_forms",
+    "counit_forms",
     "compat_i_blocks",
     "compat_ii_blocks",
     "counit_blocks",
@@ -138,28 +144,6 @@ class HalfBraiding:
 
     def tau_for(self, v: Module) -> ModuleMap:
         return tau_from_rho(rho_from_tau(self), v)
-
-
-def r_tensor_module(m: Module) -> Module:
-    """The module M (x)^r H with x . (m (x) h) = x^21 m (x) x^22 h S(x^1)."""
-    h = m.h
-    n, f = h.dim, h.field
-    d3 = delta_tree_matrix(h.qb, (None, (None, None)))
-    acts = []
-    for a in range(n):
-        col = d3.col(a)
-        acc = Matrix.zeros(f, m.dim * n, m.dim * n)
-        for flat, c in enumerate(col):
-            if not c:
-                continue
-            j, rem = flat // (n * n), flat % (n * n)
-            k, l = rem // n, rem % n
-            hop = h.algebra.left_mult_matrix(basis_vec(f, n, l)) @ h.algebra.right_mult_matrix(
-                h.s.col(j)
-            )
-            acc = acc + kron(m.action[k], hop).scale(c)
-        acts.append(acc)
-    return Module(h, m.dim * n, tuple(acts), name=f"({m.name})(x)rH")
 
 
 # -- reconstruction of the half-braiding ---------------------------------------
@@ -303,101 +287,127 @@ def convert_ii_to_i(t: AydTypeII) -> AydTypeI:
 # -- defining-equation checks ---------------------------------------------------
 
 
-def compat_i_blocks(m: Module, rho: Matrix):
+def coaction_support(m: Module, x: Matrix | None = None) -> list:
+    """Per column mu of a coaction, the entries (nu, b) its linear forms range
+    over: the nonzeros of x, or every entry when x is None."""
+    if x is None:
+        return [tuple(product(range(m.dim), range(m.h.dim)))] * m.dim
+    return [tuple(nb for nb, _ in terms) for terms in _coaction_nonzeros(m, x)]
+
+
+def _nonzeros(vec) -> tuple:
+    return tuple((l, c) for l, c in enumerate(vec) if c)
+
+
+def compat_i_forms(m: Module, support):
     """h^1 m<0> (x) h^2 m<1> = (h^2 m)<0> (x) (h^2 m)<1> S^2(h^1), per (e_a, m_mu)."""
     h = m.h
     alg = h.algebra
     d, n, f = m.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, rho)
     s2 = h.s_squared()
+    # e_b S^2(e_j), per (b, j)
+    b_s2j = cache(lambda b, j: _nonzeros(alg.mul_vec(basis_vec(f, n, b), s2.col(j))))
     for a in range(n):
         for mu in range(d):
-            lhs = [f.zero()] * (d * n)
-            rhs = [f.zero()] * (d * n)
+            lhs = [{} for _ in range(d * n)]
+            rhs = [{} for _ in range(d * n)]
             for (j, k), c in h.qb.delta_of_basis(a):
                 aj = m.action[j]
-                for (nu, b), r in nz[mu]:
-                    hb = alg.mult[k][b]
-                    coeff = c * r
+                for nu, b in support[mu]:
+                    pos = (nu * n + b) * d + mu
                     for nu2 in range(d):
                         x = aj.at(nu2, nu)
-                        if not x:
-                            continue
-                        for l, y in enumerate(hb):
-                            if y:
-                                lhs[nu2 * n + l] = lhs[nu2 * n + l] + coeff * x * y
+                        if x:
+                            for l, y in alg._mult_nz[k][b]:
+                                _accumulate(lhs[nu2 * n + l], pos, c * x * y)
                 ak = m.action[k]
-                s2j = s2.col(j)
                 for mu2 in range(d):
                     z = ak.at(mu2, mu)
                     if not z:
                         continue
-                    for (nu, b), r in nz[mu2]:
-                        hb = alg.mul_vec(basis_vec(f, n, b), s2j)
-                        coeff = c * z * r
-                        for l, y in enumerate(hb):
-                            if y:
-                                rhs[nu * n + l] = rhs[nu * n + l] + coeff * y
+                    for nu, b in support[mu2]:
+                        pos = (nu * n + b) * d + mu2
+                        for l, y in b_s2j(b, j):
+                            _accumulate(rhs[nu * n + l], pos, c * z * y)
             yield (a, mu), lhs, rhs
 
 
-def compat_ii_blocks(m: Module, lam: Matrix):
+def compat_ii_forms(m: Module, support):
     """(hm)[0] (x) (hm)[1] = h^21 m[0] (x) h^22 m[1] S(h^1), per (e_a, m_mu).
 
     Block (a, mu) compares column mu of lambda o act(e_a) with that of
     act'(e_a) o lambda, act' the action on M (x)^r H, so all blocks agree
-    exactly when lambda is H-linear into r_tensor_module(M).
+    exactly when lambda is H-linear into M (x)^r H.
     """
     h = m.h
     alg = h.algebra
     d, n, f = m.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, lam)
-    d3 = delta_tree_matrix(h.qb, (None, (None, None)))
+    # e_l e_b S(e_j), per (l, b, j)
+    l_b_sj = cache(lambda l, b, j: _nonzeros(
+        alg.mul_vec(basis_vec(f, n, l), alg.mul_vec(basis_vec(f, n, b), h.s.col(j)))))
+    tree = [[] for _ in range(n)]  # (id (x) Delta) Delta(e_a) = sum c e_j (x) e_k (x) e_l
+    for (a, j, k, l), c in delta_tree_tensor(h.qb, (None, (None, None))).items():
+        tree[a].append((j, k, l, c))
     for a in range(n):
-        col3 = d3.col(a)
         aa = m.action[a]
         for mu in range(d):
-            lhs = [f.zero()] * (d * n)
-            rhs = [f.zero()] * (d * n)
+            lhs = [{} for _ in range(d * n)]
+            rhs = [{} for _ in range(d * n)]
             for mu2 in range(d):
                 z = aa.at(mu2, mu)
-                if not z:
-                    continue
-                for (nu, b), r in nz[mu2]:
-                    lhs[nu * n + b] = lhs[nu * n + b] + z * r
-            for flat, c in enumerate(col3):
-                if not c:
-                    continue
-                j, rem = flat // (n * n), flat % (n * n)
-                k, l = rem // n, rem % n
+                if z:
+                    for nu, b in support[mu2]:
+                        _accumulate(lhs[nu * n + b], (nu * n + b) * d + mu2, z)
+            for j, k, l, c in tree[a]:
                 ak = m.action[k]
-                sj = h.s.col(j)
-                for (nu, b), r in nz[mu]:
-                    hb = alg.mul_vec(basis_vec(f, n, l), alg.mul_vec(basis_vec(f, n, b), sj))
-                    coeff = c * r
+                for nu, b in support[mu]:
+                    pos = (nu * n + b) * d + mu
                     for nu2 in range(d):
                         x = ak.at(nu2, nu)
-                        if not x:
-                            continue
-                        for l2, y in enumerate(hb):
-                            if y:
-                                rhs[nu2 * n + l2] = rhs[nu2 * n + l2] + coeff * x * y
+                        if x:
+                            for l2, y in l_b_sj(l, b, j):
+                                _accumulate(rhs[nu2 * n + l2], pos, c * x * y)
             yield (a, mu), lhs, rhs
 
 
-def counit_blocks(m: Module, coaction: Matrix, with_alpha: bool):
+def counit_forms(m: Module, support, with_alpha: bool):
     """eps(m<1>) m<0> = m (type I) or eps(m[1]) m[0] eps(alpha) = m (type II), per m_mu."""
     h = m.h
-    d, f = m.dim, m.field
-    nz = _coaction_nonzeros(m, coaction)
+    d, n, f = m.dim, h.dim, m.field
     scale = h.qb.counit.apply(h.alpha)[0] if with_alpha else f.one()
     for mu in range(d):
-        acc = [f.zero()] * d
-        for (nu, b), r in nz[mu]:
+        lhs = [{} for _ in range(d)]
+        for nu, b in support[mu]:
             e = h.qb.counit_of_basis(b)
             if e:
-                acc[nu] = acc[nu] + r * e * scale
-        yield (mu,), acc, list(basis_vec(f, d, mu))
+                lhs[nu][(nu * n + b) * d + mu] = e * scale
+        yield (mu,), lhs, [{None: f.one()} if nu == mu else {} for nu in range(d)]
+
+
+def _at(blocks, x: Matrix):
+    """Blocks of linear forms evaluated at the coaction x."""
+    xs, zero = x.entries, x.field.zero()
+
+    def value(form):
+        acc = zero
+        for pos, c in form.items():
+            acc = acc + (c if pos is None else c * xs[pos])
+        return acc
+
+    for loc, lhs, rhs in blocks:
+        yield loc, [value(v) for v in lhs], [value(v) for v in rhs]
+
+
+def compat_i_blocks(m: Module, rho: Matrix):
+    return _at(compat_i_forms(m, coaction_support(m, rho)), rho)
+
+
+def compat_ii_blocks(m: Module, lam: Matrix):
+    return _at(compat_ii_forms(m, coaction_support(m, lam)), lam)
+
+
+def counit_blocks(m: Module, coaction: Matrix, with_alpha: bool):
+    return _at(counit_forms(m, coaction_support(m, coaction), with_alpha), coaction)
 
 
 def _first_failure(rep: CheckReport, name: str, blocks):

@@ -2,14 +2,15 @@
 
 The per-element compatibility and the counit condition are linear in the
 coaction map, so their joint solution set is an affine subspace computed
-exactly.  Both conditions are defined once, as the block generators in
-``ayd`` that the checkers also use; this module only assembles those blocks
-into one linear system.  The remaining coassociativity-type condition is
-quadratic in the coordinates of the affine space.  Over a prime field its
-residual is interpolated exactly from O(e^2) evaluations of the hexagon,
-the p^e points are swept against that polynomial, and only the points where
-it vanishes go through the full check; the budget still counts the p^e
-points swept.  Over the rationals only membership checking is offered.
+exactly.  Both conditions are defined once, in ``ayd``, as sparse linear
+forms in the coaction's entries; this module takes them over every entry
+and writes lhs - rhs of each output row straight into a row of the system.
+The remaining coassociativity-type condition is quadratic in the
+coordinates of the affine space.  Over a prime field its residual is
+interpolated exactly from O(e^2) evaluations of the hexagon, the p^e points
+are swept against that polynomial, and only the points where it vanishes
+go through the full check; the budget still counts the p^e points swept.
+Over the rationals only membership checking is offered.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from .ayd import (
     AydTypeII,
     check_type_i,
     check_type_ii,
-    compat_i_blocks,
-    compat_ii_blocks,
-    counit_blocks,
+    coaction_support,
+    compat_i_forms,
+    compat_ii_forms,
+    counit_forms,
     quasi_comodule_condition_matrices,
 )
 from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
-from .linalg import Matrix, hstack, solve
+from .linalg import Matrix, solve
 from .repcat import Module
 
 __all__ = [
@@ -77,36 +79,32 @@ class LinearSolutionSpace:
         return Matrix.column(self.basis.field, vec)
 
 
-def _linear_system(m: Module, compat_blocks, with_alpha: bool):
+def _linear_system(m: Module, compat_forms, with_alpha: bool):
     """(A, b) with A . vec(x) - b the stacked lhs - rhs of the compatibility
     blocks, then of the counit blocks, at the coaction x.
 
-    The conditions are affine in x, so with r(x) that stack, column j of A is
-    r(e_j) - r(0) and b = -r(0).
+    One pass over the blocks' linear forms, taken over every entry of x:
+    row r of A is the form lhs - rhs of output row r, b_r its negated constant.
     """
-    d, f = m.dim, m.field
-    ncoef = d * m.h.dim * d
-    zero, one = f.zero(), f.one()
-
-    def residual(pos) -> list:
-        # only nonzero subtrahends are subtracted, so zero entries stay shared
-        x = Matrix(f, d * m.h.dim, d, tuple(one if i == pos else zero for i in range(ncoef)))
-        out = []
-        for _, lhs, rhs in chain(compat_blocks(m, x), counit_blocks(m, x, with_alpha)):
-            out.extend(l - r if r else l for l, r in zip(lhs, rhs))
-        return out
-
-    base = residual(None)
-    cols = [
-        Matrix.column(f, (y - b if b else y for y, b in zip(residual(pos), base)))
-        for pos in range(ncoef)
-    ]
-    return hstack(cols), Matrix.column(f, (-b if b else b for b in base))
+    ncoef, f = m.dim * m.h.dim * m.dim, m.field
+    zero = f.zero()
+    support = coaction_support(m)
+    entries, consts = [], []
+    for _, lhs, rhs in chain(compat_forms(m, support), counit_forms(m, support, with_alpha)):
+        for l, r in zip(lhs, rhs):
+            row = [zero] * (ncoef + 1)  # the constant last
+            for pos, c in l.items():
+                row[ncoef if pos is None else pos] += c
+            for pos, c in r.items():
+                row[ncoef if pos is None else pos] -= c
+            consts.append(-row.pop())
+            entries.extend(row)
+    return Matrix(f, len(consts), ncoef, tuple(entries)), Matrix.column(f, consts)
 
 
-def _linear_space(m: Module, compat_blocks, with_alpha: bool) -> LinearSolutionSpace:
+def _linear_space(m: Module, compat_forms, with_alpha: bool) -> LinearSolutionSpace:
     ncoef = m.dim * m.h.dim * m.dim
-    sol = solve(*_linear_system(m, compat_blocks, with_alpha))
+    sol = solve(*_linear_system(m, compat_forms, with_alpha))
     if sol is None:
         return LinearSolutionSpace(ncoef, None, Matrix.zeros(m.field, ncoef, 0))
     return LinearSolutionSpace(ncoef, sol.particular, sol.kernel)
@@ -114,12 +112,12 @@ def _linear_space(m: Module, compat_blocks, with_alpha: bool) -> LinearSolutionS
 
 def linear_space_type_i(m: Module) -> LinearSolutionSpace:
     """All rho satisfying the compatibility and counit conditions (type I)."""
-    return _linear_space(m, compat_i_blocks, with_alpha=False)
+    return _linear_space(m, compat_i_forms, with_alpha=False)
 
 
 def linear_space_type_ii(m: Module) -> LinearSolutionSpace:
     """All lambda satisfying the compatibility and counit conditions (type II)."""
-    return _linear_space(m, compat_ii_blocks, with_alpha=True)
+    return _linear_space(m, compat_ii_forms, with_alpha=True)
 
 
 def _coaction(m: Module, space: LinearSolutionSpace, coeffs) -> Matrix:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from ..errors import ShapeError
-from ..qha import QuasiBialgebra, QuasiHopfAlgebra, tree_leaves
+from ..qha import QuasiHopfAlgebra, delta_tree_tensor
 from ..repcat import Module
 from .ast_nodes import Context, ExprSum
 from .compiler import ContractionPlan, compile_expression
@@ -75,7 +75,7 @@ class _NodeTensors:
         f = h.field
         kind = node.kind
         if kind == "delta":
-            return _delta_tree_tensor(h.qb, node.meta[0])
+            return delta_tree_tensor(h.qb, node.meta[0])
         if kind == "mu":
             sp = {}
             for i in range(n):
@@ -114,29 +114,6 @@ class _NodeTensors:
             # resolved per module at evaluation time via wire sorts; built separately
             raise AssertionError("action tensors are built by the executor")
         raise ShapeError(f"unknown node kind {kind!r}")
-
-
-def _delta_tree_tensor(qb: QuasiBialgebra, tree) -> dict:
-    """{(j, i_1, ..., i_k): c} of the iterated coproduct with the given bracketing.
-
-    Each Delta(e_j) is expanded leaf by leaf from its sparse coproduct, so
-    the work follows the nonzeros rather than the n^k x n matrix of
-    ``delta_tree_matrix``.
-    """
-
-    def expand(sp, subtree, slot):
-        if subtree is None:
-            return sp
-        left, right = subtree
-        sp = expand(qb.slot_delta(sp, slot), left, slot)
-        return expand(sp, right, slot + tree_leaves(left))
-
-    one = qb.field.one()
-    return {
-        (j, *idx): c
-        for j in range(qb.dim)
-        for idx, c in expand({(j,): one}, tree, 0).items()
-    }
 
 
 def _action_tensor(m: Module):

@@ -21,7 +21,7 @@ from itertools import product
 
 from .errors import InconsistentSystemError, ShapeError
 from .fields import Field
-from .linalg import Matrix, inverse, kron, solve_unique
+from .linalg import Matrix, inverse, solve_unique
 from .reports import CheckReport
 from .tensors import Tensor, basis_vec, vec_zero
 
@@ -41,7 +41,7 @@ __all__ = [
     "antipode",
     "counit_of",
     "tree_leaves",
-    "delta_tree_matrix",
+    "delta_tree_tensor",
 ]
 
 
@@ -204,7 +204,6 @@ class QuasiBialgebra:
             for j in range(n)
         )
         object.__setattr__(self, "_delta_nz", nz)
-        object.__setattr__(self, "_tree_cache", {})
 
     @property
     def field(self):
@@ -294,7 +293,12 @@ class QuasiHopfAlgebra:
         return self.qb.phi_inv
 
     def s_squared(self) -> Matrix:
-        return self.s @ self.s
+        """S^2, multiplied out on the first call and kept with the algebra."""
+        s2 = self.__dict__.get("_s_squared")
+        if s2 is None:
+            s2 = self.s @ self.s
+            object.__setattr__(self, "_s_squared", s2)
+        return s2
 
     def phi_is_trivial(self) -> bool:
         n = self.dim
@@ -395,18 +399,26 @@ def tree_leaves(tree) -> int:
     return tree_leaves(tree[0]) + tree_leaves(tree[1])
 
 
-def delta_tree_matrix(qb: QuasiBialgebra, tree) -> Matrix:
-    """Matrix n^k x n of the iterated coproduct with the given bracketing."""
-    cache = qb._tree_cache
-    if tree in cache:
-        return cache[tree]
-    if tree is None:
-        m = Matrix.identity(qb.field, qb.dim)
-    else:
-        left, right = tree
-        m = kron(delta_tree_matrix(qb, left), delta_tree_matrix(qb, right)) @ qb.delta
-    cache[tree] = m
-    return m
+def delta_tree_tensor(qb: QuasiBialgebra, tree) -> dict:
+    """{(j, i_1, ..., i_k): c} of the iterated coproduct with the given bracketing.
+
+    Each Delta(e_j) is expanded leaf by leaf from its sparse coproduct, so
+    the work follows the nonzeros rather than an n^k x n matrix.
+    """
+
+    def expand(sp, subtree, slot):
+        if subtree is None:
+            return sp
+        left, right = subtree
+        sp = expand(qb.slot_delta(sp, slot), left, slot)
+        return expand(sp, right, slot + tree_leaves(left))
+
+    one = qb.field.one()
+    return {
+        (j, *idx): c
+        for j in range(qb.dim)
+        for idx, c in expand({(j,): one}, tree, 0).items()
+    }
 
 
 # -- axiom checks --------------------------------------------------------------
@@ -669,9 +681,10 @@ def check_antipode(h: QuasiHopfAlgebra) -> CheckReport:
     else:
         rep.add_ok("antipode-associator")
 
+    # Drinfeld's form: S(p^1) alpha p^2 beta S(p^3) = 1 over Phi^-1 = p^1 (x) p^2 (x) p^3
     acc = vec_zero(f, n)
     for (i, j, k), c in h.phi_inv.nonzeros():
-        term = mul_many(h, s_col(i), h.alpha, basis_vec(f, n, j), h.beta, basis_vec(f, n, k))
+        term = mul_many(h, s_col(i), h.alpha, basis_vec(f, n, j), h.beta, s_col(k))
         acc = tuple(x + c * y for x, y in zip(acc, term))
     if acc != alg.unit:
         rep.add_fail("antipode-associator-inverse", (), acc, alg.unit)

@@ -22,11 +22,27 @@ drops it at the first slot whose product is zero.
 
 Element primitives with no caller in the library: ``antipode_inv``, the
 comb bracketings ``left_comb``/``right_comb`` and ``iterated_coproduct``.
+
+Iterated coproducts as dense matrices: ``delta_tree_matrix`` is the former
+``qha.delta_tree_matrix``, which multiplies out kron(left, right) @ Delta
+for each bracketing (cached per coalgebra and tree, as the former
+``QuasiBialgebra._tree_cache`` did), and ``r_tensor_module`` is the former
+``ayd.r_tensor_module`` built on it.
+
+The AYD linear conditions evaluated directly at a coaction:
+``compat_i_blocks_direct``, ``compat_ii_blocks_direct`` (reading
+(id (x) Delta) Delta off ``delta_tree_matrix``) and ``counit_blocks_direct``
+are the former ``ayd`` block generators, which accumulate both sides of each
+block from the coaction's nonzeros with no linear forms in between.  The
+AYD solver's system by residuals: ``linear_system_by_residuals`` is the
+former ``ayd_solve._linear_system``, which evaluates every condition block
+at ncoef + 1 coactions and stacks the residual differences as columns.
 """
 
-from itertools import product
+from functools import cache
+from itertools import chain, product
 
-from qhayd.ayd import AydTypeI, tau_from_rho
+from qhayd.ayd import AydTypeI, _coaction_nonzeros, counit_blocks, tau_from_rho
 from qhayd.dsl.compiler import compile_expression
 from qhayd.dsl.evaluator import (
     Counterexample,
@@ -37,8 +53,8 @@ from qhayd.dsl.evaluator import (
     _wire_sorts,
 )
 from qhayd.errors import InconsistentSystemError, ShapeError
-from qhayd.linalg import Matrix, hstack, solve, solve_unique
-from qhayd.qha import Algebra, QuasiHopfAlgebra, delta_tree_matrix, tree_leaves
+from qhayd.linalg import Matrix, hstack, kron, solve, solve_unique
+from qhayd.qha import Algebra, QuasiBialgebra, QuasiHopfAlgebra, tree_leaves
 from qhayd.repcat import (
     Module,
     ModuleMap,
@@ -51,7 +67,7 @@ from qhayd.repcat import (
     tensor,
     trivial_module,
 )
-from qhayd.tensors import Tensor
+from qhayd.tensors import Tensor, basis_vec
 
 
 def power_mul_pairs(alg: Algebra, u: dict, v: dict, order: int) -> dict:
@@ -99,6 +115,161 @@ def right_comb(k: int):
     for _ in range(k - 1):
         tree = (None, tree)
     return tree
+
+
+@cache
+def delta_tree_matrix(qb: QuasiBialgebra, tree) -> Matrix:
+    """Matrix n^k x n of the iterated coproduct with the given bracketing."""
+    if tree is None:
+        return Matrix.identity(qb.field, qb.dim)
+    left, right = tree
+    return kron(delta_tree_matrix(qb, left), delta_tree_matrix(qb, right)) @ qb.delta
+
+
+def r_tensor_module(m: Module) -> Module:
+    """The module M (x)^r H with x . (m (x) h) = x^21 m (x) x^22 h S(x^1)."""
+    h = m.h
+    n, f = h.dim, h.field
+    d3 = delta_tree_matrix(h.qb, (None, (None, None)))
+    acts = []
+    for a in range(n):
+        col = d3.col(a)
+        acc = Matrix.zeros(f, m.dim * n, m.dim * n)
+        for flat, c in enumerate(col):
+            if not c:
+                continue
+            j, rem = flat // (n * n), flat % (n * n)
+            k, l = rem // n, rem % n
+            hop = h.algebra.left_mult_matrix(basis_vec(f, n, l)) @ h.algebra.right_mult_matrix(
+                h.s.col(j)
+            )
+            acc = acc + kron(m.action[k], hop).scale(c)
+        acts.append(acc)
+    return Module(h, m.dim * n, tuple(acts), name=f"({m.name})(x)rH")
+
+
+def linear_system_by_residuals(m: Module, compat_blocks, with_alpha: bool):
+    """(A, b) with A . vec(x) - b the stacked lhs - rhs of the compatibility
+    blocks, then of the counit blocks, at the coaction x.
+
+    The conditions are affine in x, so with r(x) that stack, column j of A is
+    r(e_j) - r(0) and b = -r(0).
+    """
+    d, f = m.dim, m.field
+    ncoef = d * m.h.dim * d
+    zero, one = f.zero(), f.one()
+
+    def residual(pos) -> list:
+        # only nonzero subtrahends are subtracted, so zero entries stay shared
+        x = Matrix(f, d * m.h.dim, d, tuple(one if i == pos else zero for i in range(ncoef)))
+        out = []
+        for _, lhs, rhs in chain(compat_blocks(m, x), counit_blocks(m, x, with_alpha)):
+            out.extend(l - r if r else l for l, r in zip(lhs, rhs))
+        return out
+
+    base = residual(None)
+    cols = [
+        Matrix.column(f, (y - b if b else y for y, b in zip(residual(pos), base)))
+        for pos in range(ncoef)
+    ]
+    return hstack(cols), Matrix.column(f, (-b if b else b for b in base))
+
+
+def compat_i_blocks_direct(m: Module, rho: Matrix):
+    """h^1 m<0> (x) h^2 m<1> = (h^2 m)<0> (x) (h^2 m)<1> S^2(h^1), per (e_a, m_mu)."""
+    h = m.h
+    alg = h.algebra
+    d, n, f = m.dim, h.dim, m.field
+    nz = _coaction_nonzeros(m, rho)
+    s2 = h.s_squared()
+    for a in range(n):
+        for mu in range(d):
+            lhs = [f.zero()] * (d * n)
+            rhs = [f.zero()] * (d * n)
+            for (j, k), c in h.qb.delta_of_basis(a):
+                aj = m.action[j]
+                for (nu, b), r in nz[mu]:
+                    hb = alg.mult[k][b]
+                    coeff = c * r
+                    for nu2 in range(d):
+                        x = aj.at(nu2, nu)
+                        if not x:
+                            continue
+                        for l, y in enumerate(hb):
+                            if y:
+                                lhs[nu2 * n + l] = lhs[nu2 * n + l] + coeff * x * y
+                ak = m.action[k]
+                s2j = s2.col(j)
+                for mu2 in range(d):
+                    z = ak.at(mu2, mu)
+                    if not z:
+                        continue
+                    for (nu, b), r in nz[mu2]:
+                        hb = alg.mul_vec(basis_vec(f, n, b), s2j)
+                        coeff = c * z * r
+                        for l, y in enumerate(hb):
+                            if y:
+                                rhs[nu * n + l] = rhs[nu * n + l] + coeff * y
+            yield (a, mu), lhs, rhs
+
+
+def compat_ii_blocks_direct(m: Module, lam: Matrix):
+    """(hm)[0] (x) (hm)[1] = h^21 m[0] (x) h^22 m[1] S(h^1), per (e_a, m_mu).
+
+    Block (a, mu) compares column mu of lambda o act(e_a) with that of
+    act'(e_a) o lambda, act' the action on M (x)^r H, so all blocks agree
+    exactly when lambda is H-linear into r_tensor_module(M).
+    """
+    h = m.h
+    alg = h.algebra
+    d, n, f = m.dim, h.dim, m.field
+    nz = _coaction_nonzeros(m, lam)
+    d3 = delta_tree_matrix(h.qb, (None, (None, None)))
+    for a in range(n):
+        col3 = d3.col(a)
+        aa = m.action[a]
+        for mu in range(d):
+            lhs = [f.zero()] * (d * n)
+            rhs = [f.zero()] * (d * n)
+            for mu2 in range(d):
+                z = aa.at(mu2, mu)
+                if not z:
+                    continue
+                for (nu, b), r in nz[mu2]:
+                    lhs[nu * n + b] = lhs[nu * n + b] + z * r
+            for flat, c in enumerate(col3):
+                if not c:
+                    continue
+                j, rem = flat // (n * n), flat % (n * n)
+                k, l = rem // n, rem % n
+                ak = m.action[k]
+                sj = h.s.col(j)
+                for (nu, b), r in nz[mu]:
+                    hb = alg.mul_vec(basis_vec(f, n, l), alg.mul_vec(basis_vec(f, n, b), sj))
+                    coeff = c * r
+                    for nu2 in range(d):
+                        x = ak.at(nu2, nu)
+                        if not x:
+                            continue
+                        for l2, y in enumerate(hb):
+                            if y:
+                                rhs[nu2 * n + l2] = rhs[nu2 * n + l2] + coeff * x * y
+            yield (a, mu), lhs, rhs
+
+
+def counit_blocks_direct(m: Module, coaction: Matrix, with_alpha: bool):
+    """eps(m<1>) m<0> = m (type I) or eps(m[1]) m[0] eps(alpha) = m (type II), per m_mu."""
+    h = m.h
+    d, f = m.dim, m.field
+    nz = _coaction_nonzeros(m, coaction)
+    scale = h.qb.counit.apply(h.alpha)[0] if with_alpha else f.one()
+    for mu in range(d):
+        acc = [f.zero()] * d
+        for (nu, b), r in nz[mu]:
+            e = h.qb.counit_of_basis(b)
+            if e:
+                acc[nu] = acc[nu] + r * e * scale
+        yield (mu,), acc, list(basis_vec(f, d, mu))
 
 
 def iterated_coproduct(h: QuasiHopfAlgebra, a, tree) -> Tensor:

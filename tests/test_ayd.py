@@ -22,7 +22,6 @@ from qhayd.ayd import (
     lambda_from_tau,
     naturality_check,
     quasi_comodule_condition_matrices,
-    r_tensor_module,
     rho_from_tau,
     sigma_hopf,
     stability_check,
@@ -46,7 +45,7 @@ from qhayd.tensors import basis_vec
 from qhayd.zoo import build_entry, zoo_names
 
 from conftest import entry
-from oracles import stability_check_per_vector
+from oracles import r_tensor_module, stability_check_per_vector
 
 
 def valid_ayds(e):

@@ -21,7 +21,6 @@ from qhayd.dsl import evaluator
 from qhayd.dsl.corpus import corpus_names, load_corpus
 from qhayd.dsl.evaluator import (
     _assignment_ranges,
-    _delta_tree_tensor,
     _exec_term,
     _NodeTensors,
     _wire_sorts,
@@ -29,11 +28,11 @@ from qhayd.dsl.evaluator import (
 from qhayd.errors import DslParseError
 from qhayd.fields import QQ
 from qhayd.linalg import Matrix
-from qhayd.qha import delta_tree_matrix, validate
+from qhayd.qha import delta_tree_tensor, validate
 from qhayd.repcat import regular_module
 
 from conftest import entry
-from oracles import NodeTensorsDense, eval_equation_sweep, exec_term_sweep
+from oracles import NodeTensorsDense, delta_tree_matrix, eval_equation_sweep, exec_term_sweep
 from printer import print_equation, print_expression
 
 ALG_CTX = Context((ContextVar("h", "algebra"),), ())
@@ -244,7 +243,7 @@ def test_delta_tree_tensor_matches_delta_tree_matrix(zoo_entry):
                     for flat, c in enumerate(mat.col(j))
                     if c
                 }
-                assert _delta_tree_tensor(q, tree) == dense, tree
+                assert delta_tree_tensor(q, tree) == dense, tree
 
 
 def test_contraction_matches_sweep_on_every_zoo_ayd(zoo_entry):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhayd import linalg
-from qhayd.ayd import compat_i_blocks, compat_ii_blocks
+from qhayd.ayd import compat_i_forms, compat_ii_forms
 from qhayd.ayd_solve import _linear_system
 from qhayd.errors import FieldMismatchError, ShapeError
 from qhayd.fields import QQ, PrimeField, RationalField
@@ -394,8 +394,8 @@ def _zoo_systems(entry, max_unknowns):
     for m in entry.modules.values():
         if m.dim * m.h.dim * m.dim > max_unknowns:
             continue
-        for blocks, with_alpha in ((compat_i_blocks, False), (compat_ii_blocks, True)):
-            yield _linear_system(m, blocks, with_alpha)
+        for forms, with_alpha in ((compat_i_forms, False), (compat_ii_forms, True)):
+            yield _linear_system(m, forms, with_alpha)
 
 
 def test_solve_matches_dense_elimination_on_zoo_systems(zoo_entry):

@@ -20,7 +20,6 @@ from qhayd.qha import (
     check_quasi_coassoc,
     coproduct,
     counit_of,
-    delta_tree_matrix,
     make_quasi_hopf,
     mul,
     sparse_from_vec,
@@ -32,7 +31,14 @@ from qhayd.tensors import Tensor, basis_vec
 from qhayd.zoo import build_entry, sweedler_h4, zoo_names
 
 from conftest import entry
-from oracles import antipode_inv, iterated_coproduct, left_comb, power_mul_pairs, right_comb
+from oracles import (
+    antipode_inv,
+    delta_tree_matrix,
+    iterated_coproduct,
+    left_comb,
+    power_mul_pairs,
+    right_comb,
+)
 
 
 def test_every_zoo_algebra_validates(zoo_entry):
@@ -206,6 +212,38 @@ def test_individual_checkers_match_validate(h4):
     assert check_counit(h.qb).passed
     assert check_phi_counit(h.qb).passed
     assert check_antipode(h).passed
+
+
+def _functions_on_z3_plain_zeta(beta_exponent):
+    """Functions on Z/3 over F_7 with Phi = sum omega(i,j,k)^-1 e_i (x) e_j (x) e_k
+    for the plain cocycle omega(i,j,k) = zeta^(i floor((j+k)/3)), alpha = 1 and
+    beta = sum omega(g,-g,g)^beta_exponent e_g."""
+    f = PrimeField(7)
+    zeta = f.from_int(2)
+
+    def omega(i, j, k):
+        return zeta ** ((i * ((j + k) // 3)) % 3)
+
+    one, zero = f.one(), f.zero()
+    e = [basis_vec(f, 3, i) for i in range(3)]
+    mult = [[e[i] if i == j else (zero,) * 3 for j in range(3)] for i in range(3)]
+    delta_rows = [
+        tuple(one if (a + b) % 3 == i else zero for a in range(3) for b in range(3))
+        for i in range(3)
+    ]
+    phi = Tensor(f, 3, 3, tuple(
+        one / omega(i, j, k) for i in range(3) for j in range(3) for k in range(3)))
+    beta = tuple(omega(g, -g % 3, g) ** beta_exponent for g in range(3))
+    return make_quasi_hopf(f, ["e0", "e1", "e2"], mult, (one,) * 3, delta_rows, e[0], phi,
+                           [e[-j % 3] for j in range(3)], (one,) * 3, beta)
+
+
+def test_antipode_associator_inverse_is_drinfelds_form():
+    # S(p^1) alpha p^2 beta S(p^3) = 1 over Phi^-1 = p^1 (x) p^2 (x) p^3 holds
+    # here; read without the last S it fails here, and only that item does
+    assert validate(_functions_on_z3_plain_zeta(1)).passed
+    failing = {i.name for i in check_antipode(_functions_on_z3_plain_zeta(-1)).failures()}
+    assert failing == {"antipode-associator", "antipode-associator-inverse"}
 
 
 def _kron_left_matrix(alg, t):

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
 
@@ -7,15 +9,19 @@ import pytest
 
 import qhayd.ayd as ayd
 import qhayd.ayd_solve as ayd_solve
+import qhayd.linalg as linalg
 from qhayd.ayd import (
     AydTypeI,
     AydTypeII,
     check_type_i,
     check_type_ii,
     compat_i_blocks,
+    compat_i_forms,
     compat_ii_blocks,
+    compat_ii_forms,
     convert_i_to_ii,
     counit_blocks,
+    counit_forms,
     quasi_comodule_condition_matrices,
 )
 from qhayd.ayd_solve import (
@@ -33,7 +39,14 @@ from qhayd.fields import PrimeField, QQ
 from qhayd.jsonio import dump_json
 from qhayd.linalg import Matrix
 from qhayd.repcat import character_module, regular_module, trivial_module
-from qhayd.zoo import build_entry, group_algebra, cyclic_table
+from qhayd.zoo import build_entry, group_algebra, cyclic_table, zoo_names
+
+from oracles import (
+    compat_i_blocks_direct,
+    compat_ii_blocks_direct,
+    counit_blocks_direct,
+    linear_system_by_residuals,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -184,14 +197,128 @@ def test_solver_system_is_the_stacked_blocks():
         for mname in ("trivial", "regular"):
             m = e.modules[mname]
             f = m.field
-            for compat_blocks, with_alpha in ((compat_i_blocks, False), (compat_ii_blocks, True)):
-                a, b = _linear_system(m, compat_blocks, with_alpha)
+            for compat_forms, compat_blocks, with_alpha in (
+                (compat_i_forms, compat_i_blocks, False),
+                (compat_ii_forms, compat_ii_blocks, True),
+            ):
+                a, b = _linear_system(m, compat_forms, with_alpha)
                 for _ in range(2):
                     x = Matrix(f, m.dim * m.h.dim, m.dim,
                                tuple(f.from_int(rng.randrange(-3, 4)) for _ in range(a.cols)))
                     blocks = chain(compat_blocks(m, x), counit_blocks(m, x, with_alpha))
                     stacked = tuple(l - r for _, lhs, rhs in blocks for l, r in zip(lhs, rhs))
                     assert (a @ Matrix.column(f, x.entries) - b).col(0) == stacked, (name, mname)
+
+
+def _modules_over_fields(name):
+    """Every named module of a zoo entry over its own field, F_5 and F_7,
+    skipping a field the entry does not build over."""
+    seen = set()
+    for field in (None, PrimeField(5), PrimeField(7)):
+        try:
+            e = build_entry(name, field)
+        except ShapeError:
+            continue
+        if repr(e.algebra.field) in seen:
+            continue
+        seen.add(repr(e.algebra.field))
+        for mname, m in sorted(e.modules.items()):
+            yield f"{name}/{m.field!r}/{mname}", m
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_solver_system_equals_the_residual_oracle(name):
+    """(A, b) from one pass over the forms equals, entry for entry, the
+    system stacked from ncoef + 1 residual evaluations of the former blocks."""
+    labels = []
+    for label, m in _modules_over_fields(name):
+        labels.append(label)
+        for forms, direct, with_alpha in (
+            (compat_i_forms, compat_i_blocks_direct, False),
+            (compat_ii_forms, compat_ii_blocks_direct, True),
+        ):
+            got = _linear_system(m, forms, with_alpha)
+            assert got == linear_system_by_residuals(m, direct, with_alpha), (label, with_alpha)
+    assert any("regular" in label for label in labels)
+
+
+def _scrambled(m, rng):
+    """m over a copy of its algebra with a non-coassociative coproduct of
+    three random terms per column, so every bracketing is told apart."""
+    qb = m.h.qb
+    n, f = qb.dim, qb.field
+    entries = [f.zero()] * (n * n * n)
+    for j in range(n):
+        for flat in rng.sample(range(n * n), 3):
+            entries[flat * n + j] = f.from_int(rng.randint(1, 4))
+    qb = replace(qb, delta=Matrix(f, n * n, n, tuple(entries)))
+    return replace(m, h=replace(m.h, qb=qb))
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_checker_blocks_equal_the_direct_blocks(name):
+    """The forms evaluated at x give every block of the former generators,
+    so the checkers' witnesses (location, lhs, rhs) are unchanged."""
+    rng = random.Random(11)
+    for label, m in _modules_over_fields(name):
+        f = m.field
+        ncoef = m.dim * m.h.dim * m.dim
+        for mod in (m, _scrambled(m, rng)):
+            for density in (0.2, 1.0):
+                x = Matrix(f, m.dim * m.h.dim, m.dim, tuple(
+                    f.from_int(rng.randrange(-3, 4)) if rng.random() < density else f.zero()
+                    for _ in range(ncoef)))
+                for new, old in ((compat_i_blocks, compat_i_blocks_direct),
+                                 (compat_ii_blocks, compat_ii_blocks_direct)):
+                    assert list(new(mod, x)) == list(old(mod, x)), (label, new.__name__)
+                for with_alpha in (False, True):
+                    assert (list(counit_blocks(mod, x, with_alpha))
+                            == list(counit_blocks_direct(mod, x, with_alpha))), label
+
+
+@pytest.mark.parametrize("space,forms", ((linear_space_type_i, compat_i_forms),
+                                         (linear_space_type_ii, compat_ii_forms)))
+def test_linear_space_reads_each_condition_once(count_calls, monkeypatch, space, forms):
+    """One pass over each generator; the only stacking is solve's [A | b]."""
+    m = build_entry("s3", PrimeField(5)).modules["regular"]
+    ncoef = m.dim * m.h.dim * m.dim
+    counts = count_calls(forms, counit_forms)
+    widths = []
+    real_hstack = linalg.hstack
+
+    def hstack(mats):
+        widths.append([a.cols for a in mats])
+        return real_hstack(mats)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qhayd" and getattr(mod, "hstack", None) is real_hstack:
+            monkeypatch.setattr(mod, "hstack", hstack)
+    space(m)
+    assert counts == {forms.__name__: 1, "counit_forms": 1}
+    assert widths == [[ncoef, 1]]
+
+
+def test_type_ii_forms_no_composite(monkeypatch):
+    """No Kronecker product or matrix product: (id (x) Delta) Delta comes
+    from the sparse iterated coproduct."""
+    m = build_entry("s3", PrimeField(5)).modules["regular"]
+    h, f = m.h, m.field
+    rho = Matrix(f, m.dim * h.dim, m.dim, tuple(
+        h.unit[r % h.dim] if r // h.dim == mu else f.zero()
+        for r in range(m.dim * h.dim) for mu in range(m.dim)))
+    lam = convert_i_to_ii(AydTypeI(m, rho))
+    h.s_squared()  # built once per algebra, before the refusal
+
+    def refuse(*args):
+        raise AssertionError("a composite was formed")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qhayd" and getattr(mod, "kron", None) is linalg.kron:
+            monkeypatch.setattr(mod, "kron", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    space = linear_space_type_ii(m)
+    assert space.affine_dim == 30
+    assert check_type_ii(lam).passed
 
 
 def test_enumeration_refuses_rational_field_before_solving(monkeypatch):
