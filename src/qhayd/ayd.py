@@ -46,6 +46,7 @@ from .repcat import (
     ModuleMap,
     _accumulate,
     _columns,
+    _dense,
     _iota_matrix,
     _pruned,
     _slotwise_apply,
@@ -182,42 +183,62 @@ def _tau_elements(t) -> list:
 
     ``grid[mu]`` maps nu to a coefficient tuple; absent entries are zero.
     Type I: grid[mu][nu] = sum_b rho[(nu, b), mu] e_b, the m<1> of m<0> = m_nu.
-    Type II: the sum of R^1 m[0] (x) R^2 m[1] S(Q) S(alpha) S^2(P) over
-    Phi^-1 = P (x) Q (x) R, with R^1 m[0] expanded in the basis of M.
+    Type II: ``_tau_ii_forms`` evaluated at lambda.
     """
     m, h = t.module, t.module.h
     d, n, f = m.dim, h.dim, m.field
     grid = [{} for _ in range(d)]
 
-    def add(mu, nu, elem, scale):
+    def add(mu, nu, l, x):
         acc = grid[mu].setdefault(nu, [f.zero()] * n)
-        for l, y in enumerate(elem):
-            if y:
-                acc[l] = acc[l] + scale * y
+        acc[l] = acc[l] + x
 
     if isinstance(t, AydTypeI):
         for mu, terms in enumerate(_coaction_nonzeros(m, t.rho)):
             for (nu, b), r in terms:
-                add(mu, nu, basis_vec(f, n, b), r)
+                add(mu, nu, b, r)
     else:
-        alg = h.algebra
-        nz = _coaction_nonzeros(m, t.lam)
-        s_alpha = h.s.apply(h.alpha)
-        s2 = h.s_squared()
-        for (i, j, k), c in h.phi_inv.nonzeros():
-            kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
-            for (k1, k2), c2 in h.qb.delta_of_basis(k):
-                am = m.action[k1]
-                for mu in range(d):
-                    for (nu, b), r in nz[mu]:
-                        wel = alg.mul_vec(
-                            basis_vec(f, n, k2), alg.mul_vec(basis_vec(f, n, b), kappa)
-                        )
-                        for nu2 in range(d):
-                            x = am.at(nu2, nu)
-                            if x:
-                                add(mu, nu2, wel, c * c2 * r * x)
+        xs = t.lam.entries
+        for mu, row in enumerate(_tau_ii_forms(m, coaction_support(m, t.lam))):
+            for nu, forms in row.items():
+                for pos, elem in forms.items():
+                    for l, y in elem.items():
+                        add(mu, nu, l, xs[pos] * y)
     return [{nu: tuple(e) for nu, e in row.items() if any(e)} for row in grid]
+
+
+def _tau_ii_forms(m: Module, support) -> list:
+    """The type-II ``_tau_elements`` grid as linear forms in lambda.
+
+    grid[mu][nu] maps each position (nu' * n + b) * d + mu of lambda in
+    ``support`` (as in ``compat_ii_forms``) to its coefficient, an element
+    {l: coefficient} of H: the sum of R^1 m[0] (x) R^2 m[1] S(Q) S(alpha)
+    S^2(P) over Phi^-1 = P (x) Q (x) R, with R^1 m[0] expanded in the basis
+    of M.
+    """
+    h = m.h
+    alg = h.algebra
+    d, n, f = m.dim, h.dim, m.field
+    s_alpha = h.s.apply(h.alpha)
+    s2 = h.s_squared()
+    grid = [{} for _ in range(d)]
+    for (i, j, k), c in h.phi_inv.nonzeros():
+        kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
+        wel = {}  # e_k2 e_b kappa, per (k2, b)
+        for (k1, k2), c2 in h.qb.delta_of_basis(k):
+            cols = _columns(m.action[k1])
+            for mu in range(d):
+                for nu, b in support[mu]:
+                    pos = (nu * n + b) * d + mu
+                    elem = wel.get((k2, b))
+                    if elem is None:
+                        elem = wel[k2, b] = _nonzeros(alg.mul_vec(
+                            basis_vec(f, n, k2), alg.mul_vec(basis_vec(f, n, b), kappa)))
+                    for nu2, x in cols[nu]:
+                        form = grid[mu].setdefault(nu2, {}).setdefault(pos, {})
+                        for l, y in elem:
+                            _accumulate(form, l, c * c2 * x * y)
+    return grid
 
 
 def _tau_matrix(grid, v: Module) -> Matrix:
@@ -242,25 +263,26 @@ def _tau_matrix(grid, v: Module) -> Matrix:
 
 
 def lambda_from_tau(b: HalfBraiding) -> AydTypeII:
-    """Unique lambda with tau_from_lambda(lambda, H) = tau_H, by exact linear solve."""
+    """Unique lambda with tau_from_lambda(lambda, H) = tau_H, by exact linear solve.
+
+    tau_H is linear in lambda, so the system has one row per entry of tau_H
+    and one column per entry of lambda, both row-major; ``_tau_ii_forms``
+    over every entry gives its nonzeros in one pass, placed as
+    ``_tau_matrix`` places them at V = H.
+    """
     m, h = b.module, b.module.h
     d, n, f = m.dim, h.dim, m.field
-    reg = regular_module(h)
-    cols = []
-    for nu in range(d):
-        for bb in range(n):
-            for mu in range(d):
-                elem = Matrix(
-                    f, d * n, d,
-                    tuple(
-                        f.one() if (r == nu * n + bb and c == mu) else f.zero()
-                        for r in range(d * n)
-                        for c in range(d)
-                    ),
-                )
-                tau = _tau_matrix(_tau_elements(AydTypeII(m, elem)), reg)
-                cols.append(Matrix.column(f, tau.entries))
-    sys = hstack(cols)
+    ncoef = d * n * d
+    act = regular_module(h)._action_nonzeros
+    out = {}
+    for mu, grid_row in enumerate(_tau_ii_forms(m, coaction_support(m))):
+        for nu, forms in grid_row.items():
+            for pos, elem in forms.items():
+                for l, c in elem.items():
+                    for jv, iv, x in act[l]:
+                        r = (nu * n + jv) * n * d + iv * d + mu
+                        _accumulate(out, r * ncoef + pos, c * x)
+    sys = _dense(f, d * n * n * d, ncoef, out)
     target = Matrix.column(f, b.tau_h.entries)
     sol = solve(sys, target)
     if sol is None:

@@ -10,6 +10,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -312,7 +313,9 @@ def _cmd_zoo_emit(args, inputs):
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="qhayd",
         description="exact checks, reconstructions, and searches for quasi-Hopf "

@@ -4,8 +4,11 @@ Modules are given by per-basis-element action matrices.  The tensor product
 acts through the coproduct, the associator is the slot-wise action of the
 invertible element Phi, internal Homs twist by the antipode, and the sharp
 functor precomposes an action with S^2.  Linear maps between modules are
-plain matrices; H-linearity is a checkable property, and intertwiner spaces
-are computed exactly as matrix kernels.
+plain matrices, and H-linearity is a checkable property.  Every
+construction follows the nonzeros of the action matrices: the Kronecker sums
+of tensor products and internal Homs, and the equations whose exact kernel
+is an intertwiner space, are written entry by entry from those nonzeros;
+the results are dense ``Matrix`` values.
 
 Hom-space vectorization is row-major: a map f: M -> N with matrix F
 (d_N x d_M) has coordinates vec(F), and vec(A F B) = (A kron B^T) vec(F).
@@ -14,10 +17,11 @@ Hom-space vectorization is row-major: a map f: M -> N with matrix F
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from functools import cached_property
+from itertools import product, repeat
 
 from .errors import InconsistentSystemError, ShapeError
-from .linalg import Matrix, hstack, kernel_basis, kron, solve, solve_unique, vstack
+from .linalg import Matrix, hstack, kernel_basis, solve
 from .qha import QuasiHopfAlgebra, vec_from_sparse
 from .reports import CheckReport
 from .tensors import basis_vec
@@ -31,23 +35,12 @@ __all__ = [
     "character_module",
     "tensor",
     "associator",
-    "associator_inv",
     "sharp",
     "hom_l",
     "hom_r",
     "is_module_morphism",
     "hom_space",
-    "left_unitor",
-    "right_unitor",
-    "ev_l",
-    "ev_r",
-    "uncurry_l",
-    "uncurry_r",
-    "curry_l",
-    "iota_apply",
     "iota_matrix",
-    "iota_inverse_apply",
-    "iota_closed_form",
 ]
 
 
@@ -75,13 +68,19 @@ class Module:
     def algebra(self):
         return self.h
 
+    @cached_property
+    def _action_nonzeros(self) -> tuple:
+        """Per basis element, the ``_nonzero_entries`` of its action matrix."""
+        return tuple(_nonzero_entries(a) for a in self.action)
+
     def action_of(self, vec) -> Matrix:
         """Action matrix of an arbitrary algebra element."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
+        out = {}
         for i, c in enumerate(vec):
             if c:
-                out = out + self.action[i].scale(c)
-        return out
+                for r, s, x in self._action_nonzeros[i]:
+                    _accumulate(out, r * self.dim + s, c * x)
+        return _dense(self.field, self.dim, self.dim, out)
 
 
 @dataclass(frozen=True)
@@ -153,17 +152,50 @@ def character_module(h: QuasiHopfAlgebra, values, name="character") -> Module:
     return m
 
 
+def _nonzero_entries(mat: Matrix) -> tuple:
+    """The nonzero entries (i, j, a_ij) of ``mat``."""
+    c = mat.cols
+    return tuple((k // c, k % c, x) for k, x in enumerate(mat.entries) if x)
+
+
+def _transposed(mat: Matrix) -> tuple:
+    """The ``_nonzero_entries`` of the transpose of ``mat``."""
+    return tuple((j, i, x) for i, j, x in _nonzero_entries(mat))
+
+
+def _dense(field, rows: int, cols: int, out: dict) -> Matrix:
+    """The matrix with the row-major entries ``out`` and zeros elsewhere,
+    built straight into its tuple, with no list of the same size beside it."""
+    entries = map(out.get, range(rows * cols), repeat(field.zero()))
+    return Matrix(field, rows, cols, tuple(entries))
+
+
+def _kron_sum(field, terms, da: int, db: int) -> Matrix:
+    """sum c . (A kron B) over ``terms`` (c, A, B), A being da x da and B
+    db x db, each given by its ``_nonzero_entries``: only products of
+    nonzeros are formed."""
+    n = da * db
+    out = {}
+    for c, a_nz, b_nz in terms:
+        for i, j, x in a_nz:
+            cx = c * x
+            base = i * db * n + j * db
+            for p, q, y in b_nz:
+                _accumulate(out, base + p * n + q, cx * y)
+    return _dense(field, n, n, out)
+
+
 def tensor(m: Module, n: Module) -> Module:
     """Tensor product module; the action goes through the coproduct."""
     _same_algebra(m, n)
     h = m.h
-    acts = []
-    for i in range(h.dim):
-        acc = Matrix.zeros(h.field, m.dim * n.dim, m.dim * n.dim)
-        for (a, b), c in h.qb.delta_of_basis(i):
-            acc = acc + kron(m.action[a], n.action[b]).scale(c)
-        acts.append(acc)
-    return Module(h, m.dim * n.dim, tuple(acts), name=f"({m.name})(x)({n.name})")
+    mnz, nnz = m._action_nonzeros, n._action_nonzeros
+    acts = tuple(
+        _kron_sum(h.field, [(c, mnz[a], nnz[b]) for (a, b), c in h.qb.delta_of_basis(i)],
+                  m.dim, n.dim)
+        for i in range(h.dim)
+    )
+    return Module(h, m.dim * n.dim, acts, name=f"({m.name})(x)({n.name})")
 
 
 def _columns(mat: Matrix) -> tuple:
@@ -234,12 +266,6 @@ def associator(m: Module, n: Module, l: Module) -> ModuleMap:
     return ModuleMap(tensor(tensor(m, n), l), tensor(m, tensor(n, l)), mat)
 
 
-def associator_inv(m: Module, n: Module, l: Module) -> ModuleMap:
-    h = m.h
-    mat = _slotwise_action(h.phi_inv.nonzeros(), (m, n, l))
-    return ModuleMap(tensor(m, tensor(n, l)), tensor(tensor(m, n), l), mat)
-
-
 def sharp(m: Module) -> Module:
     """Same space, action precomposed with S^2."""
     s = m.h.s
@@ -251,26 +277,28 @@ def hom_l(m: Module, n: Module) -> Module:
     """Left internal Hom on Hom_k(m, n): h . f = h^1 f(S(h^2) -)."""
     _same_algebra(m, n)
     h = m.h
-    acts = []
-    for i in range(h.dim):
-        acc = Matrix.zeros(h.field, n.dim * m.dim, n.dim * m.dim)
-        for (a, b), c in h.qb.delta_of_basis(i):
-            acc = acc + kron(n.action[a], m.action_of(h.s.col(b)).transpose()).scale(c)
-        acts.append(acc)
-    return Module(h, n.dim * m.dim, tuple(acts), name=f"Hom_l({m.name},{n.name})")
+    nnz = n._action_nonzeros
+    st = [_transposed(m.action_of(h.s.col(b))) for b in range(h.dim)]
+    acts = tuple(
+        _kron_sum(h.field, [(c, nnz[a], st[b]) for (a, b), c in h.qb.delta_of_basis(i)],
+                  n.dim, m.dim)
+        for i in range(h.dim)
+    )
+    return Module(h, n.dim * m.dim, acts, name=f"Hom_l({m.name},{n.name})")
 
 
 def hom_r(m: Module, n: Module) -> Module:
     """Right internal Hom on Hom_k(m, n): h . f = h^2 f(S^-1(h^1) -)."""
     _same_algebra(m, n)
     h = m.h
-    acts = []
-    for i in range(h.dim):
-        acc = Matrix.zeros(h.field, n.dim * m.dim, n.dim * m.dim)
-        for (a, b), c in h.qb.delta_of_basis(i):
-            acc = acc + kron(n.action[b], m.action_of(h.s_inv.col(a)).transpose()).scale(c)
-        acts.append(acc)
-    return Module(h, n.dim * m.dim, tuple(acts), name=f"Hom_r({m.name},{n.name})")
+    nnz = n._action_nonzeros
+    st = [_transposed(m.action_of(h.s_inv.col(a))) for a in range(h.dim)]
+    acts = tuple(
+        _kron_sum(h.field, [(c, nnz[b], st[a]) for (a, b), c in h.qb.delta_of_basis(i)],
+                  n.dim, m.dim)
+        for i in range(h.dim)
+    )
+    return Module(h, n.dim * m.dim, acts, name=f"Hom_r({m.name},{n.name})")
 
 
 def is_module_morphism(f: Matrix, src: Module, tgt: Module) -> bool:
@@ -284,61 +312,33 @@ def is_module_morphism(f: Matrix, src: Module, tgt: Module) -> bool:
 
 
 def hom_space(src: Module, tgt: Module) -> list:
-    """Basis of the space of H-linear maps src -> tgt, as matrices."""
+    """Basis of the space of H-linear maps src -> tgt, as matrices.
+
+    The system stacks, per basis element e_i, the rows of
+    vec(T_i F - F S_i) = (T_i kron I - I kron S_i^T) vec(F), with S_i and T_i
+    the actions on src and tgt; each row is written from their nonzeros.
+    """
     _same_algebra(src, tgt)
-    field = src.field
-    blocks = []
-    idm = Matrix.identity(field, src.dim)
-    idn = Matrix.identity(field, tgt.dim)
+    s, t = src.dim, tgt.dim
+    cols = t * s
+    out = {}
     for i in range(src.h.dim):
-        blocks.append(kron(tgt.action[i], idm) - kron(idn, src.action[i].transpose()))
-    ker = kernel_basis(vstack(blocks))
-    out = []
+        for r, k, x in tgt._action_nonzeros[i]:
+            for c in range(s):
+                _accumulate(out, ((i * t + r) * s + c) * cols + k * s + c, x)
+        for k, c, y in src._action_nonzeros[i]:
+            for r in range(t):
+                _accumulate(out, ((i * t + r) * s + c) * cols + r * s + k, -y)
+    ker = kernel_basis(_dense(src.field, src.h.dim * cols, cols, out))
+    basis = []
     for c in range(ker.cols):
         col = ker.col(c)
-        rows = [
-            [col[r * src.dim + s] for s in range(src.dim)] for r in range(tgt.dim)
-        ]
-        out.append(Matrix.from_rows(field, rows))
-    return out
+        rows = [[col[r * s + j] for j in range(s)] for r in range(t)]
+        basis.append(Matrix.from_rows(src.field, rows))
+    return basis
 
 
-def left_unitor(m: Module) -> ModuleMap:
-    """unit (x) m -> m, the canonical vector-space identification."""
-    return ModuleMap(tensor(trivial_module(m.h), m), m, Matrix.identity(m.field, m.dim))
-
-
-def right_unitor(m: Module) -> ModuleMap:
-    return ModuleMap(tensor(m, trivial_module(m.h)), m, Matrix.identity(m.field, m.dim))
-
-
-# -- unit-target evaluations and currying --------------------------------------
-
-
-def ev_l(w: Module) -> ModuleMap:
-    """hom_l(w, unit) (x) w -> unit, phi (x) x -> phi(alpha . x)."""
-    h = w.h
-    unit = trivial_module(h)
-    a = w.action_of(h.alpha)
-    entries = []
-    for i in range(w.dim):
-        for j in range(w.dim):
-            entries.append(a.at(i, j))
-    mat = Matrix(h.field, 1, w.dim * w.dim, tuple(entries))
-    return ModuleMap(tensor(hom_l(w, unit), w), unit, mat)
-
-
-def ev_r(v: Module) -> ModuleMap:
-    """v (x) hom_r(v, unit) -> unit, x (x) phi -> phi(S^-1(alpha) . x)."""
-    h = v.h
-    unit = trivial_module(h)
-    a = v.action_of(h.s_inv.apply(h.alpha))
-    entries = [None] * (v.dim * v.dim)
-    for j in range(v.dim):
-        for i in range(v.dim):
-            entries[j * v.dim + i] = a.at(i, j)
-    mat = Matrix(h.field, 1, v.dim * v.dim, tuple(entries))
-    return ModuleMap(tensor(v, hom_r(v, unit)), unit, mat)
+# -- currying and the duality identification iota --------------------------------
 
 
 def _uncurry_l_row(alpha_w: Matrix, g: Matrix) -> tuple:
@@ -351,24 +351,6 @@ def _uncurry_r_row(beta_x: Matrix, g: Matrix) -> tuple:
     """Entries of ev_r o (id (x) g) for g: V -> hom_r(X, unit), where
     ``beta_x`` is the action of S^-1(alpha) on X: x (x) v -> g(v)(beta_x . x)."""
     return (beta_x.transpose() @ g).entries
-
-
-def uncurry_l(g: ModuleMap, w: Module) -> ModuleMap:
-    """From g: V -> hom_l(W, unit) build ev_l o (g (x) id): V (x) W -> unit."""
-    h = w.h
-    v = g.source
-    entries = _uncurry_l_row(w.action_of(h.alpha), g.matrix)
-    mat = Matrix(h.field, 1, v.dim * w.dim, entries)
-    return ModuleMap(tensor(v, w), trivial_module(h), mat)
-
-
-def uncurry_r(g: ModuleMap, x: Module) -> ModuleMap:
-    """From g: V -> hom_r(X, unit) build ev_r o (id (x) g): X (x) V -> unit."""
-    h = x.h
-    v = g.source
-    entries = _uncurry_r_row(x.action_of(h.s_inv.apply(h.alpha)), g.matrix)
-    mat = Matrix(h.field, 1, x.dim * v.dim, entries)
-    return ModuleMap(tensor(x, v), trivial_module(h), mat)
 
 
 def _curry(v: Module, w: Module, target: Module, rows) -> tuple:
@@ -390,43 +372,6 @@ def _curry(v: Module, w: Module, target: Module, rows) -> tuple:
     return basis, sol.particular
 
 
-def curry_l(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
-    """Inverse of uncurry_l on intertwiner spaces.
-
-    The input must be H-linear; the result is the unique H-linear
-    g: V -> hom_l(W, unit) with uncurry_l(g, w) = f.
-    """
-    h = v.h
-    unit = trivial_module(h)
-    if not is_module_morphism(f.matrix, tensor(v, w), unit):
-        raise InconsistentSystemError("curry_l needs an H-linear input")
-    target = hom_l(w, unit)
-    acc = Matrix.zeros(h.field, target.dim, v.dim)
-    if f.matrix.is_zero():
-        return ModuleMap(v, target, acc)
-    basis, coords = _curry(v, w, target, [f.matrix.entries])
-    for c, b in zip(coords.col(0), basis):
-        if c:
-            acc = acc + b.scale(c)
-    return ModuleMap(v, target, acc)
-
-
-# -- the duality identification iota ------------------------------------------
-
-
-def iota_apply(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
-    """Hom(V (x) W, unit) -> Hom(W# (x) V, unit) as the three-step composite:
-    curry at the left internal Hom, identify hom_l(W, unit) with
-    hom_r(W#, unit) (the identity on underlying functionals), uncurry on
-    the right.
-    """
-    h = v.h
-    g = curry_l(f, v, w)
-    ws = sharp(w)
-    gr = ModuleMap(v, hom_r(ws, trivial_module(h)), g.matrix)
-    return uncurry_r(gr, ws)
-
-
 def iota_matrix(v: Module, w: Module):
     """Matrix of iota between intertwiner-space bases.
 
@@ -442,7 +387,8 @@ def _iota_matrix(v: Module, w: Module, dom: list):
 
     iota is linear, so it is applied to the whole domain basis at once:
     every basis map is curried by one solve, and the images are the
-    uncurry_r images of the currying basis, combined by those coordinates.
+    uncurried-on-the-right images of the currying basis, combined by those
+    coordinates.
     """
     h = v.h
     ws = sharp(w)
@@ -461,55 +407,3 @@ def _iota_matrix(v: Module, w: Module, dom: list):
     if sol is None:
         raise InconsistentSystemError("iota image leaves the intertwiner space")
     return sol.particular, dom, cod
-
-
-def iota_inverse_apply(g: ModuleMap, v: Module, w: Module) -> ModuleMap:
-    """Inverse of iota: from Hom(W# (x) V, unit) back to Hom(V (x) W, unit)."""
-    h = v.h
-    unit = trivial_module(h)
-    mat, dom, cod = iota_matrix(v, w)
-    if not cod:
-        if g.matrix.is_zero():
-            return ModuleMap(tensor(v, w), unit, Matrix.zeros(h.field, 1, v.dim * w.dim))
-        raise InconsistentSystemError("nonzero map in a zero intertwiner space")
-    cod_cols = hstack([Matrix.column(h.field, b.entries) for b in cod])
-    gcoords = solve(cod_cols, Matrix.column(h.field, g.matrix.entries))
-    if gcoords is None:
-        raise InconsistentSystemError("iota inverse needs an H-linear input")
-    dcoords = solve_unique(mat, gcoords.particular)
-    acc = Matrix.zeros(h.field, 1, v.dim * w.dim)
-    for c, b in zip(dcoords.col(0), dom):
-        if c:
-            acc = acc + b.scale(c)
-    return ModuleMap(tensor(v, w), unit, acc)
-
-
-def iota_closed_form(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
-    """Candidate closed form of iota, checked against the composite in tests:
-    iota(f)(x (x) y) = sum f(P y (x) Q beta R S(alpha) x) over Phi^-1 = P(x)Q(x)R.
-    """
-    h = v.h
-    alg = h.algebra
-    s_alpha = h.s.apply(h.alpha)
-    entries = [h.field.zero()] * (w.dim * v.dim)
-    for (i, j, k), c in h.phi_inv.nonzeros():
-        wel = alg.mul_vec(
-            basis_vec(h.field, h.dim, j),
-            alg.mul_vec(h.beta, alg.mul_vec(basis_vec(h.field, h.dim, k), s_alpha)),
-        )
-        av = v.action[i]
-        aw = w.action_of(wel)
-        for iw in range(w.dim):
-            for iv in range(v.dim):
-                acc = h.field.zero()
-                for jv in range(v.dim):
-                    x = av.at(jv, iv)
-                    if not x:
-                        continue
-                    for jw in range(w.dim):
-                        y = aw.at(jw, iw)
-                        if y:
-                            acc = acc + c * x * y * f.matrix.at(0, jv * w.dim + jw)
-                entries[iw * v.dim + iv] = entries[iw * v.dim + iv] + acc
-    mat = Matrix(h.field, 1, w.dim * v.dim, tuple(entries))
-    return ModuleMap(tensor(sharp(w), v), trivial_module(h), mat)

@@ -29,6 +29,25 @@ for each bracketing (cached per coalgebra and tree, as the former
 ``QuasiBialgebra._tree_cache`` did), and ``r_tensor_module`` is the former
 ``ayd.r_tensor_module`` built on it.
 
+Module constructions and intertwiner systems from dense Kronecker products:
+``action_of_dense``, ``tensor_dense``, ``hom_l_dense``, ``hom_r_dense`` and
+``hom_space_dense`` are the former ``Module.action_of``, ``repcat.tensor``,
+``hom_l``, ``hom_r`` and ``hom_space``, which add up scaled copies of whole
+matrices and stack kron(T_i, I) - kron(I, S_i^T) as the system.
+
+The type-II half-braiding coefficient by coefficient:
+``tau_elements_ii_direct`` is the former type-II branch of
+``ayd._tau_elements``, which accumulates the elements of H straight from
+lambda's nonzeros, and ``lambda_from_tau_by_columns`` is the former
+``ayd.lambda_from_tau``, which builds tau_H at each of the d.n.d unit
+coactions and stacks those columns as the system.
+
+Categorical structure with no caller in the library: the unitors,
+``associator_inv``, the evaluations ``ev_l``/``ev_r``, currying
+(``curry_l``, ``uncurry_l``, ``uncurry_r``), ``iota_apply`` (iota as the
+three-step composite), ``iota_inverse_apply`` and ``iota_closed_form`` are
+the former ``repcat`` functions of those names.
+
 The AYD linear conditions evaluated directly at a coaction:
 ``compat_i_blocks_direct``, ``compat_ii_blocks_direct`` (reading
 (id (x) Delta) Delta off ``delta_tree_matrix``) and ``counit_blocks_direct``
@@ -42,7 +61,14 @@ at ncoef + 1 coactions and stacks the residual differences as columns.
 from functools import cache
 from itertools import chain, product
 
-from qhayd.ayd import AydTypeI, _coaction_nonzeros, counit_blocks, tau_from_rho
+from qhayd.ayd import (
+    AydTypeI,
+    AydTypeII,
+    _coaction_nonzeros,
+    _tau_matrix,
+    counit_blocks,
+    tau_from_rho,
+)
 from qhayd.dsl.compiler import compile_expression
 from qhayd.dsl.evaluator import (
     Counterexample,
@@ -53,14 +79,20 @@ from qhayd.dsl.evaluator import (
     _wire_sorts,
 )
 from qhayd.errors import InconsistentSystemError, ShapeError
-from qhayd.linalg import Matrix, hstack, kron, solve, solve_unique
+from qhayd.linalg import Matrix, hstack, kernel_basis, kron, solve, solve_unique, vstack
 from qhayd.qha import Algebra, QuasiBialgebra, QuasiHopfAlgebra, tree_leaves
 from qhayd.repcat import (
     Module,
     ModuleMap,
+    _curry,
+    _same_algebra,
+    _slotwise_action,
+    _uncurry_l_row,
+    _uncurry_r_row,
     hom_l,
     hom_r,
     hom_space,
+    iota_matrix,
     is_module_morphism,
     regular_module,
     sharp,
@@ -68,6 +100,295 @@ from qhayd.repcat import (
     trivial_module,
 )
 from qhayd.tensors import Tensor, basis_vec
+
+
+def action_of_dense(m: Module, vec) -> Matrix:
+    """Action matrix of an arbitrary algebra element."""
+    out = Matrix.zeros(m.field, m.dim, m.dim)
+    for i, c in enumerate(vec):
+        if c:
+            out = out + m.action[i].scale(c)
+    return out
+
+
+def tensor_dense(m: Module, n: Module) -> Module:
+    """Tensor product module; the action goes through the coproduct."""
+    _same_algebra(m, n)
+    h = m.h
+    acts = []
+    for i in range(h.dim):
+        acc = Matrix.zeros(h.field, m.dim * n.dim, m.dim * n.dim)
+        for (a, b), c in h.qb.delta_of_basis(i):
+            acc = acc + kron(m.action[a], n.action[b]).scale(c)
+        acts.append(acc)
+    return Module(h, m.dim * n.dim, tuple(acts), name=f"({m.name})(x)({n.name})")
+
+
+def hom_l_dense(m: Module, n: Module) -> Module:
+    """Left internal Hom on Hom_k(m, n): h . f = h^1 f(S(h^2) -)."""
+    _same_algebra(m, n)
+    h = m.h
+    acts = []
+    for i in range(h.dim):
+        acc = Matrix.zeros(h.field, n.dim * m.dim, n.dim * m.dim)
+        for (a, b), c in h.qb.delta_of_basis(i):
+            acc = acc + kron(n.action[a], action_of_dense(m, h.s.col(b)).transpose()).scale(c)
+        acts.append(acc)
+    return Module(h, n.dim * m.dim, tuple(acts), name=f"Hom_l({m.name},{n.name})")
+
+
+def hom_r_dense(m: Module, n: Module) -> Module:
+    """Right internal Hom on Hom_k(m, n): h . f = h^2 f(S^-1(h^1) -)."""
+    _same_algebra(m, n)
+    h = m.h
+    acts = []
+    for i in range(h.dim):
+        acc = Matrix.zeros(h.field, n.dim * m.dim, n.dim * m.dim)
+        for (a, b), c in h.qb.delta_of_basis(i):
+            acc = acc + kron(
+                n.action[b], action_of_dense(m, h.s_inv.col(a)).transpose()
+            ).scale(c)
+        acts.append(acc)
+    return Module(h, n.dim * m.dim, tuple(acts), name=f"Hom_r({m.name},{n.name})")
+
+
+def hom_space_system_dense(src: Module, tgt: Module) -> Matrix:
+    """The stacked kron(T_i, I) - kron(I, S_i^T) whose kernel is vec(Hom_H(src, tgt))."""
+    field = src.field
+    blocks = []
+    idm = Matrix.identity(field, src.dim)
+    idn = Matrix.identity(field, tgt.dim)
+    for i in range(src.h.dim):
+        blocks.append(kron(tgt.action[i], idm) - kron(idn, src.action[i].transpose()))
+    return vstack(blocks)
+
+
+def hom_space_dense(src: Module, tgt: Module) -> list:
+    """Basis of the space of H-linear maps src -> tgt, as matrices."""
+    _same_algebra(src, tgt)
+    field = src.field
+    ker = kernel_basis(hom_space_system_dense(src, tgt))
+    out = []
+    for c in range(ker.cols):
+        col = ker.col(c)
+        rows = [
+            [col[r * src.dim + s] for s in range(src.dim)] for r in range(tgt.dim)
+        ]
+        out.append(Matrix.from_rows(field, rows))
+    return out
+
+
+def tau_elements_ii_direct(t: AydTypeII) -> list:
+    """The half-braiding of a type-II structure as elements of H:
+    tau_V(v (x) m_mu) = sum over nu of m_nu (x) grid[mu][nu] v, for every V.
+
+    grid[mu][nu] is the sum of R^1 m[0] (x) R^2 m[1] S(Q) S(alpha) S^2(P)
+    over Phi^-1 = P (x) Q (x) R, with R^1 m[0] expanded in the basis of M.
+    """
+    m, h = t.module, t.module.h
+    d, n, f = m.dim, h.dim, m.field
+    grid = [{} for _ in range(d)]
+
+    def add(mu, nu, elem, scale):
+        acc = grid[mu].setdefault(nu, [f.zero()] * n)
+        for l, y in enumerate(elem):
+            if y:
+                acc[l] = acc[l] + scale * y
+
+    alg = h.algebra
+    nz = _coaction_nonzeros(m, t.lam)
+    s_alpha = h.s.apply(h.alpha)
+    s2 = h.s_squared()
+    for (i, j, k), c in h.phi_inv.nonzeros():
+        kappa = alg.mul_vec(h.s.col(j), alg.mul_vec(s_alpha, s2.col(i)))
+        for (k1, k2), c2 in h.qb.delta_of_basis(k):
+            am = m.action[k1]
+            for mu in range(d):
+                for (nu, b), r in nz[mu]:
+                    wel = alg.mul_vec(
+                        basis_vec(f, n, k2), alg.mul_vec(basis_vec(f, n, b), kappa)
+                    )
+                    for nu2 in range(d):
+                        x = am.at(nu2, nu)
+                        if x:
+                            add(mu, nu2, wel, c * c2 * r * x)
+    return [{nu: tuple(e) for nu, e in row.items() if any(e)} for row in grid]
+
+
+def lambda_from_tau_by_columns(b) -> AydTypeII:
+    """Unique lambda with tau_from_lambda(lambda, H) = tau_H, by exact linear solve."""
+    m, h = b.module, b.module.h
+    d, n, f = m.dim, h.dim, m.field
+    reg = regular_module(h)
+    cols = []
+    for nu in range(d):
+        for bb in range(n):
+            for mu in range(d):
+                elem = Matrix(
+                    f, d * n, d,
+                    tuple(
+                        f.one() if (r == nu * n + bb and c == mu) else f.zero()
+                        for r in range(d * n)
+                        for c in range(d)
+                    ),
+                )
+                tau = _tau_matrix(tau_elements_ii_direct(AydTypeII(m, elem)), reg)
+                cols.append(Matrix.column(f, tau.entries))
+    sys = hstack(cols)
+    target = Matrix.column(f, b.tau_h.entries)
+    sol = solve(sys, target)
+    if sol is None:
+        raise InconsistentSystemError(
+            "tau_H is not the reconstruction of any type-II coaction"
+        )
+    x = sol.particular.col(0)
+    lam = Matrix(f, d * n, d, tuple(x))
+    return AydTypeII(m, lam)
+
+
+def associator_inv(m: Module, n: Module, l: Module) -> ModuleMap:
+    h = m.h
+    mat = _slotwise_action(h.phi_inv.nonzeros(), (m, n, l))
+    return ModuleMap(tensor(m, tensor(n, l)), tensor(tensor(m, n), l), mat)
+
+
+def left_unitor(m: Module) -> ModuleMap:
+    """unit (x) m -> m, the canonical vector-space identification."""
+    return ModuleMap(tensor(trivial_module(m.h), m), m, Matrix.identity(m.field, m.dim))
+
+
+def right_unitor(m: Module) -> ModuleMap:
+    return ModuleMap(tensor(m, trivial_module(m.h)), m, Matrix.identity(m.field, m.dim))
+
+
+def ev_l(w: Module) -> ModuleMap:
+    """hom_l(w, unit) (x) w -> unit, phi (x) x -> phi(alpha . x)."""
+    h = w.h
+    unit = trivial_module(h)
+    a = w.action_of(h.alpha)
+    entries = []
+    for i in range(w.dim):
+        for j in range(w.dim):
+            entries.append(a.at(i, j))
+    mat = Matrix(h.field, 1, w.dim * w.dim, tuple(entries))
+    return ModuleMap(tensor(hom_l(w, unit), w), unit, mat)
+
+
+def ev_r(v: Module) -> ModuleMap:
+    """v (x) hom_r(v, unit) -> unit, x (x) phi -> phi(S^-1(alpha) . x)."""
+    h = v.h
+    unit = trivial_module(h)
+    a = v.action_of(h.s_inv.apply(h.alpha))
+    entries = [None] * (v.dim * v.dim)
+    for j in range(v.dim):
+        for i in range(v.dim):
+            entries[j * v.dim + i] = a.at(i, j)
+    mat = Matrix(h.field, 1, v.dim * v.dim, tuple(entries))
+    return ModuleMap(tensor(v, hom_r(v, unit)), unit, mat)
+
+
+def uncurry_l(g: ModuleMap, w: Module) -> ModuleMap:
+    """From g: V -> hom_l(W, unit) build ev_l o (g (x) id): V (x) W -> unit."""
+    h = w.h
+    v = g.source
+    entries = _uncurry_l_row(w.action_of(h.alpha), g.matrix)
+    mat = Matrix(h.field, 1, v.dim * w.dim, entries)
+    return ModuleMap(tensor(v, w), trivial_module(h), mat)
+
+
+def uncurry_r(g: ModuleMap, x: Module) -> ModuleMap:
+    """From g: V -> hom_r(X, unit) build ev_r o (id (x) g): X (x) V -> unit."""
+    h = x.h
+    v = g.source
+    entries = _uncurry_r_row(x.action_of(h.s_inv.apply(h.alpha)), g.matrix)
+    mat = Matrix(h.field, 1, x.dim * v.dim, entries)
+    return ModuleMap(tensor(x, v), trivial_module(h), mat)
+
+
+def curry_l(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
+    """Inverse of uncurry_l on intertwiner spaces.
+
+    The input must be H-linear; the result is the unique H-linear
+    g: V -> hom_l(W, unit) with uncurry_l(g, w) = f.
+    """
+    h = v.h
+    unit = trivial_module(h)
+    if not is_module_morphism(f.matrix, tensor(v, w), unit):
+        raise InconsistentSystemError("curry_l needs an H-linear input")
+    target = hom_l(w, unit)
+    acc = Matrix.zeros(h.field, target.dim, v.dim)
+    if f.matrix.is_zero():
+        return ModuleMap(v, target, acc)
+    basis, coords = _curry(v, w, target, [f.matrix.entries])
+    for c, b in zip(coords.col(0), basis):
+        if c:
+            acc = acc + b.scale(c)
+    return ModuleMap(v, target, acc)
+
+
+def iota_apply(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
+    """Hom(V (x) W, unit) -> Hom(W# (x) V, unit) as the three-step composite:
+    curry at the left internal Hom, identify hom_l(W, unit) with
+    hom_r(W#, unit) (the identity on underlying functionals), uncurry on
+    the right.
+    """
+    h = v.h
+    g = curry_l(f, v, w)
+    ws = sharp(w)
+    gr = ModuleMap(v, hom_r(ws, trivial_module(h)), g.matrix)
+    return uncurry_r(gr, ws)
+
+
+def iota_inverse_apply(g: ModuleMap, v: Module, w: Module) -> ModuleMap:
+    """Inverse of iota: from Hom(W# (x) V, unit) back to Hom(V (x) W, unit)."""
+    h = v.h
+    unit = trivial_module(h)
+    mat, dom, cod = iota_matrix(v, w)
+    if not cod:
+        if g.matrix.is_zero():
+            return ModuleMap(tensor(v, w), unit, Matrix.zeros(h.field, 1, v.dim * w.dim))
+        raise InconsistentSystemError("nonzero map in a zero intertwiner space")
+    cod_cols = hstack([Matrix.column(h.field, b.entries) for b in cod])
+    gcoords = solve(cod_cols, Matrix.column(h.field, g.matrix.entries))
+    if gcoords is None:
+        raise InconsistentSystemError("iota inverse needs an H-linear input")
+    dcoords = solve_unique(mat, gcoords.particular)
+    acc = Matrix.zeros(h.field, 1, v.dim * w.dim)
+    for c, b in zip(dcoords.col(0), dom):
+        if c:
+            acc = acc + b.scale(c)
+    return ModuleMap(tensor(v, w), unit, acc)
+
+
+def iota_closed_form(f: ModuleMap, v: Module, w: Module) -> ModuleMap:
+    """Candidate closed form of iota, checked against the composite in tests:
+    iota(f)(x (x) y) = sum f(P y (x) Q beta R S(alpha) x) over Phi^-1 = P(x)Q(x)R.
+    """
+    h = v.h
+    alg = h.algebra
+    s_alpha = h.s.apply(h.alpha)
+    entries = [h.field.zero()] * (w.dim * v.dim)
+    for (i, j, k), c in h.phi_inv.nonzeros():
+        wel = alg.mul_vec(
+            basis_vec(h.field, h.dim, j),
+            alg.mul_vec(h.beta, alg.mul_vec(basis_vec(h.field, h.dim, k), s_alpha)),
+        )
+        av = v.action[i]
+        aw = w.action_of(wel)
+        for iw in range(w.dim):
+            for iv in range(v.dim):
+                acc = h.field.zero()
+                for jv in range(v.dim):
+                    x = av.at(jv, iv)
+                    if not x:
+                        continue
+                    for jw in range(w.dim):
+                        y = aw.at(jw, iw)
+                        if y:
+                            acc = acc + c * x * y * f.matrix.at(0, jv * w.dim + jw)
+                entries[iw * v.dim + iv] = entries[iw * v.dim + iv] + acc
+    mat = Matrix(h.field, 1, w.dim * v.dim, tuple(entries))
+    return ModuleMap(tensor(sharp(w), v), trivial_module(h), mat)
 
 
 def power_mul_pairs(alg: Algebra, u: dict, v: dict, order: int) -> dict:

@@ -43,7 +43,6 @@ from qhayd.qha import check_antipode, validate
 from qhayd.repcat import (
     ModuleMap,
     hom_space,
-    iota_apply,
     iota_matrix,
     regular_module,
     sharp,
@@ -53,6 +52,7 @@ from qhayd.repcat import (
 from qhayd.zoo import build_entry, zoo_names
 
 from conftest import entry
+from oracles import iota_apply
 from test_qha import mutations_of
 
 F2 = PrimeField(2)

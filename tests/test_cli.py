@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qhayd.cli import main
+from qhayd.cli import _build_parser, main
 from qhayd.jsonio import dump_json, load_json_file
 
 
@@ -187,3 +187,35 @@ def test_manifest_emission_round_trip(emitted, tmp_path):
     assert main(["zoo", "emit", "h4", "--out", str(again)]) == 0
     for name in ("algebra.json", "manifest.json", "ayd_k_g.json"):
         assert (again / name).read_text() == (emitted / name).read_text()
+
+
+def test_successive_calls_share_one_parser_and_print_the_same_bytes(emitted, capsys):
+    """The argument tree is built once per process; every call prints the
+    same bytes and exits the same way as a call with a freshly built tree."""
+    runs = [
+        ["zoo", "list", "--json"],
+        ["module", "check", "--json", str(emitted / "module_regular.json")],
+        ["ayd", "check", "--json", str(emitted / "ayd_chi_minus_g.json")],
+        ["validate", "--json", str(emitted / "missing.json")],
+        ["ayd", "convert", str(emitted / "ayd_k_g.json")],
+        ["nosuch"],
+        ["ayd", "check", "--type", "I", "--json", str(emitted / "ayd_k_g.json")],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 0, 1, 2, ("SystemExit", 2), ("SystemExit", 2), 0]
+    _build_parser.cache_clear()
+    shared = [run(argv) for argv in runs + runs]
+    assert shared == fresh + fresh
+    assert _build_parser.cache_info().misses == 1

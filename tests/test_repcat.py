@@ -1,50 +1,64 @@
 import dataclasses
+import random
+import sys
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qhayd.linalg as linalg
 import qhayd.repcat as repcat
+from qhayd.ayd import AydTypeI, stability_check
 from qhayd.errors import InconsistentSystemError, ShapeError
-from qhayd.fields import QQ, PrimeField
+from qhayd.fields import QQ, PrimeField, PrimeFieldElement
 from qhayd.linalg import Matrix, inverse, rank
 from qhayd.repcat import (
     ModuleMap,
     _slotwise_action,
     associator,
-    associator_inv,
     character_module,
     check_module,
-    curry_l,
-    ev_l,
-    ev_r,
     hom_l,
     hom_r,
     hom_space,
-    iota_apply,
-    iota_closed_form,
-    iota_inverse_apply,
     iota_matrix,
     is_module_morphism,
-    left_unitor,
     regular_module,
-    right_unitor,
     sharp,
     tensor,
     trivial_module,
-    uncurry_l,
-    uncurry_r,
 )
 from qhayd.tensors import basis_vec
-from qhayd.zoo import build_entry
+from qhayd.zoo import build_entry, zoo_names
 
 from oracles import (
+    action_of_dense,
+    associator_inv,
+    curry_l,
     curry_l_per_vector,
+    ev_l,
+    ev_r,
+    hom_l_dense,
+    hom_r_dense,
+    hom_space_dense,
+    hom_space_system_dense,
+    iota_apply,
+    iota_closed_form,
+    iota_inverse_apply,
     iota_matrix_per_vector,
+    left_unitor,
+    right_unitor,
+    tensor_dense,
+    uncurry_l,
     uncurry_l_entrywise,
+    uncurry_r,
     uncurry_r_entrywise,
 )
 from test_ayd import kron_slotwise_action
+from test_solve import _modules_over_fields
 
 
 def small_modules(entry, max_dim=4):
@@ -431,3 +445,177 @@ def test_iota_matrix_refuses_zero_alpha(z2):
 def test_mismatched_algebras_rejected(z2, h4):
     with pytest.raises(ShapeError):
         tensor(z2.modules["trivial"], h4.modules["trivial"])
+
+
+# -- constructions from the nonzeros, against the dense oracles -------------------
+
+
+def _cancelling_delta(h, rng):
+    """h with a non-coassociative coproduct: each column holds a pair
+    c e_a (x) e_b - c e_a' (x) e_b, which cancels on any module where e_a and
+    e_a' act alike (every character of a group algebra), plus one random term."""
+    qb = h.qb
+    n, f = qb.dim, qb.field
+    entries = [f.zero()] * (n * n * n)
+    for j in range(n):
+        a, a2 = rng.sample(range(n), 2)
+        b = rng.randrange(n)
+        c = f.from_int(rng.randint(1, 4))
+        entries[(a * n + b) * n + j] = c
+        entries[(a2 * n + b) * n + j] = -c
+        extra = rng.choice([k for k in range(n * n) if k not in (a * n + b, a2 * n + b)])
+        entries[extra * n + j] = f.from_int(rng.randint(1, 4))
+    qb = dataclasses.replace(qb, delta=Matrix(f, n * n, n, tuple(entries)))
+    return dataclasses.replace(h, qb=qb)
+
+
+def _with_zero_actions(m, zeros):
+    z = Matrix.zeros(m.field, m.dim, m.dim)
+    return dataclasses.replace(
+        m, action=tuple(z if i in zeros else a for i, a in enumerate(m.action)))
+
+
+def _direct_sum(parts):
+    h, f = parts[0].h, parts[0].field
+    d = sum(p.dim for p in parts)
+    acts = []
+    for i in range(h.dim):
+        entries = [f.zero()] * (d * d)
+        off = 0
+        for p in parts:
+            for r, c in product(range(p.dim), repeat=2):
+                entries[(off + r) * d + off + c] = p.action[i].at(r, c)
+            off += p.dim
+        acts.append(Matrix(f, d, d, tuple(entries)))
+    return repcat.Module(h, d, tuple(acts), name="+".join(p.name for p in parts))
+
+
+def _assert_constructions_match(m, n, label):
+    """tensor, hom_l, hom_r, action_of and hom_space (its system and its
+    basis) equal the dense oracles, entry for entry."""
+    h, f = m.h, m.field
+    for new, old in ((tensor, tensor_dense), (hom_l, hom_l_dense), (hom_r, hom_r_dense)):
+        got, want = new(m, n), old(m, n)
+        assert (got.dim, got.action, got.name) == (want.dim, want.action, want.name), (
+            label, new.__name__)
+    vecs = [basis_vec(f, h.dim, i) for i in range(h.dim)]
+    vecs += [h.unit, h.alpha, tuple(f.from_int(i + 1) for i in range(h.dim))]
+    for vec in vecs:
+        assert m.action_of(vec) == action_of_dense(m, vec), label
+    systems = []
+
+    def kernel_basis(a):
+        systems.append(a)
+        return linalg.kernel_basis(a)
+
+    with mock.patch.object(repcat, "kernel_basis", kernel_basis):
+        got = hom_space(m, n)
+    assert systems == [hom_space_system_dense(m, n)], label
+    assert got == hom_space_dense(m, n), label
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_constructions_equal_the_dense_oracles(name):
+    """Every module pair of the entry over its own field, F_5 and F_7, also
+    over a coproduct with cancelling terms and with zeroed actions."""
+    rng = random.Random(27)
+    by_field = {}
+    for label, m in _modules_over_fields(name):
+        by_field.setdefault(repr(m.field), []).append((label, m))
+    assert by_field
+    for mods in by_field.values():
+        h = mods[0][1].h
+        scrambled = _cancelling_delta(h, rng)
+        zeros = set(rng.sample(range(h.dim), (h.dim + 1) // 2))
+        for (lm, m), (ln, n) in product(mods, repeat=2):
+            _assert_constructions_match(m, n, (lm, ln))
+            on_scrambled = [dataclasses.replace(x, h=scrambled) for x in (m, n)]
+            _assert_constructions_match(*on_scrambled, (lm, ln, "cancelling delta"))
+            _assert_constructions_match(_with_zero_actions(m, zeros), n, (lm, ln, "zeros"))
+
+
+@cache
+def _entry_or_none(name, field):
+    try:
+        return build_entry(name, field)
+    except ShapeError:
+        return None
+
+
+@st.composite
+def _summed_module_pairs(draw):
+    """Two direct sums of named modules (at most 8-dimensional) of one zoo
+    entry over one field, with some actions zeroed and the coproduct
+    perhaps replaced by one with cancelling terms."""
+    name = draw(st.sampled_from(zoo_names()))
+    field = draw(st.sampled_from((None, PrimeField(5), PrimeField(7))))
+    e = _entry_or_none(name, field) or build_entry(name)
+    mods = [m for _, m in sorted(e.modules.items())]
+
+    def summed():
+        parts = []
+        for m in draw(st.lists(st.sampled_from(mods), min_size=1, max_size=3)):
+            if not parts or sum(p.dim for p in parts) + m.dim <= 8:
+                parts.append(m)
+        return _direct_sum(parts)
+
+    m, n = summed(), summed()
+    zeros = draw(st.sets(st.integers(0, e.algebra.dim - 1)))
+    m = _with_zero_actions(m, zeros)
+    seed = draw(st.none() | st.integers(0, 2**16))
+    if seed is not None:
+        h = _cancelling_delta(e.algebra, random.Random(seed))
+        m, n = (dataclasses.replace(x, h=h) for x in (m, n))
+    return m, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_summed_module_pairs())
+def test_constructions_on_direct_sums_equal_the_dense_oracles(pair):
+    _assert_constructions_match(*pair, (pair[0].name, pair[1].name))
+
+
+def _unit_ayd(name, field):
+    m = build_entry(name, field).modules["regular"]
+    h, f = m.h, m.field
+    rho = Matrix(f, m.dim * h.dim, m.dim, tuple(
+        h.unit[r % h.dim] if r // h.dim == mu else f.zero()
+        for r in range(m.dim * h.dim) for mu in range(m.dim)))
+    return AydTypeI(m, rho)
+
+
+@pytest.mark.parametrize("name,field", [("s3", PrimeField(5)), ("h4", None)])
+def test_stability_and_iota_form_no_dense_sums(monkeypatch, name, field):
+    """No Kronecker product, matrix sum or scaled matrix: modules and
+    intertwiner systems come from the nonzeros of the actions."""
+    t = _unit_ayd(name, field)
+    reg = regular_module(t.module.h)
+    verdict, iota = stability_check(t), iota_matrix(t.module, reg)
+
+    def refuse(*args):
+        raise AssertionError("a dense sum was formed")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qhayd" and getattr(mod, "kron", None) is linalg.kron:
+            monkeypatch.setattr(mod, "kron", refuse)
+    for attr in ("__add__", "__sub__", "scale"):
+        monkeypatch.setattr(Matrix, attr, refuse)
+    assert stability_check(t) == verdict
+    assert iota_matrix(t.module, reg) == iota
+
+
+def test_stability_check_work_bound(monkeypatch):
+    """F_5 multiplications in stability_check on s3/F_5 regular: 5,688 with
+    the sums taken over nonzeros, 83,760 with dense Kronecker sums."""
+    t = _unit_ayd("s3", PrimeField(5))
+    assert stability_check(t)
+    calls = [0]
+    real = PrimeFieldElement.__mul__
+
+    def mul(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(PrimeFieldElement, "__mul__", mul)
+    assert stability_check(t)
+    assert 0 < calls[0] <= 12_000

@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,11 +42,14 @@ from qhayd.linalg import Matrix
 from qhayd.repcat import character_module, regular_module, trivial_module
 from qhayd.zoo import build_entry, group_algebra, cyclic_table, zoo_names
 
+import oracles
 from oracles import (
     compat_i_blocks_direct,
     compat_ii_blocks_direct,
     counit_blocks_direct,
+    lambda_from_tau_by_columns,
     linear_system_by_residuals,
+    tau_elements_ii_direct,
 )
 
 F2 = PrimeField(2)
@@ -274,6 +278,40 @@ def test_checker_blocks_equal_the_direct_blocks(name):
                 for with_alpha in (False, True):
                     assert (list(counit_blocks(mod, x, with_alpha))
                             == list(counit_blocks_direct(mod, x, with_alpha))), label
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_lambda_from_tau_equals_the_column_oracle(name):
+    """The type-II tau elements equal the former direct accumulation at
+    random lambda, also over a scrambled coproduct; lambda_from_tau hands
+    solve the system the former column-by-column build stacked, entry for
+    entry, and finds the same lambda."""
+    rng = random.Random(13)
+    for label, m in _modules_over_fields(name):
+        f = m.field
+        ncoef = m.dim * m.h.dim * m.dim
+        for mod in (m, _scrambled(m, rng)):
+            for density in (0.2, 1.0):
+                lam = AydTypeII(mod, Matrix(f, m.dim * m.h.dim, m.dim, tuple(
+                    f.from_int(rng.randrange(-3, 4)) if rng.random() < density else f.zero()
+                    for _ in range(ncoef))))
+                assert ayd._tau_elements(lam) == tau_elements_ii_direct(lam), label
+        reg = regular_module(m.h)
+        lam = convert_i_to_ii(AydTypeI(m, Matrix(f, m.dim * m.h.dim, m.dim, tuple(
+            m.h.unit[r % m.h.dim] if r // m.h.dim == mu else f.zero()
+            for r in range(m.dim * m.h.dim) for mu in range(m.dim)))))
+        braiding = ayd.HalfBraiding(m, ayd._tau_matrix(ayd._tau_elements(lam), reg))
+        got, want = [], []
+        for out, mod, fn in ((got, ayd, ayd.lambda_from_tau),
+                             (want, oracles, lambda_from_tau_by_columns)):
+            def recording(a, b, out=out):
+                out.append((a, b))
+                return linalg.solve(a, b)
+
+            with mock.patch.object(mod, "solve", recording):
+                out.append(fn(braiding).lam)
+        assert got == want, label
+        assert got[-1] == lam.lam, label
 
 
 @pytest.mark.parametrize("space,forms", ((linear_space_type_i, compat_i_forms),
