@@ -38,7 +38,7 @@ from functools import cache
 from itertools import product
 
 from .errors import InconsistentSystemError, ShapeError
-from .linalg import Matrix, hstack, inverse, kron, solve, solve_unique
+from .linalg import Matrix, hstack, kron, solve, solve_unique
 from .qha import delta_tree_tensor, vec_from_sparse
 from .reports import CheckReport
 from .repcat import (
@@ -50,7 +50,6 @@ from .repcat import (
     _iota_matrix,
     _pruned,
     _slotwise_apply,
-    hom_r,
     hom_space,
     regular_module,
     sharp,
@@ -63,7 +62,6 @@ __all__ = [
     "AydTypeI",
     "AydTypeII",
     "HalfBraiding",
-    "DualCentralData",
     "check_type_i",
     "check_type_ii",
     "coaction_support",
@@ -83,9 +81,7 @@ __all__ = [
     "naturality_check",
     "stability_check",
     "sigma_hopf",
-    "d_apply",
     "quasi_comodule_condition_matrices",
-    "classical_comodule_matrices",
 ]
 
 
@@ -354,22 +350,54 @@ def compat_i_forms(m: Module, support):
             yield (a, mu), lhs, rhs
 
 
+def _r_tensor_action(m: Module):
+    """The action act' of H on M (x)^r H, column by column and each column
+    once: ``col(a, nu, b)`` lists the nonzeros (nu2 * n + l2, c) of
+
+        act'(e_a)(m_nu (x) e_b) = sum c . e_k m_nu (x) e_l e_b S(e_j)
+
+    over (id (x) Delta) Delta(e_a) = sum c . e_j (x) e_k (x) e_l.
+    """
+    h = m.h
+    n, mult = h.dim, h.algebra._mult_nz
+    s_nz = [_nonzeros(h.s.col(j)) for j in range(n)]
+
+    @cache
+    def l_b_sj(l: int, b: int, j: int) -> tuple:
+        """The nonzeros of e_l e_b S(e_j)."""
+        out = {}
+        for t, x in mult[l][b]:
+            for u, y in s_nz[j]:
+                for v, z in mult[t][u]:
+                    _accumulate(out, v, x * y * z)
+        return tuple(_pruned(out).items())
+
+    tree = [[] for _ in range(n)]
+    for (a, j, k, l), c in delta_tree_tensor(h.qb, (None, (None, None))).items():
+        tree[a].append((j, k, l, c))
+    acts = [_columns(a) for a in m.action]
+
+    @cache
+    def col(a: int, nu: int, b: int) -> tuple:
+        out = {}
+        for j, k, l, c in tree[a]:
+            for nu2, x in acts[k][nu]:
+                for l2, y in l_b_sj(l, b, j):
+                    _accumulate(out, nu2 * n + l2, c * x * y)
+        return tuple(_pruned(out).items())
+
+    return col
+
+
 def compat_ii_forms(m: Module, support):
     """(hm)[0] (x) (hm)[1] = h^21 m[0] (x) h^22 m[1] S(h^1), per (e_a, m_mu).
 
     Block (a, mu) compares column mu of lambda o act(e_a) with that of
-    act'(e_a) o lambda, act' the action on M (x)^r H, so all blocks agree
-    exactly when lambda is H-linear into M (x)^r H.
+    act'(e_a) o lambda, act' the action on M (x)^r H (``_r_tensor_action``),
+    so all blocks agree exactly when lambda is H-linear into M (x)^r H.
     """
-    h = m.h
-    alg = h.algebra
-    d, n, f = m.dim, h.dim, m.field
-    # e_l e_b S(e_j), per (l, b, j)
-    l_b_sj = cache(lambda l, b, j: _nonzeros(
-        alg.mul_vec(basis_vec(f, n, l), alg.mul_vec(basis_vec(f, n, b), h.s.col(j)))))
-    tree = [[] for _ in range(n)]  # (id (x) Delta) Delta(e_a) = sum c e_j (x) e_k (x) e_l
-    for (a, j, k, l), c in delta_tree_tensor(h.qb, (None, (None, None))).items():
-        tree[a].append((j, k, l, c))
+    d, n = m.dim, m.h.dim
+    act = _r_tensor_action(m)
     for a in range(n):
         aa = m.action[a]
         for mu in range(d):
@@ -380,15 +408,10 @@ def compat_ii_forms(m: Module, support):
                 if z:
                     for nu, b in support[mu2]:
                         _accumulate(lhs[nu * n + b], (nu * n + b) * d + mu2, z)
-            for j, k, l, c in tree[a]:
-                ak = m.action[k]
-                for nu, b in support[mu]:
-                    pos = (nu * n + b) * d + mu
-                    for nu2 in range(d):
-                        x = ak.at(nu2, nu)
-                        if x:
-                            for l2, y in l_b_sj(l, b, j):
-                                _accumulate(rhs[nu2 * n + l2], pos, c * x * y)
+            for nu, b in support[mu]:
+                pos = (nu * n + b) * d + mu
+                for r, y in act(a, nu, b):
+                    _accumulate(rhs[r], pos, y)
             yield (a, mu), lhs, rhs
 
 
@@ -593,27 +616,6 @@ def quasi_comodule_condition_matrices(t):
     return lhs, rhs
 
 
-def classical_comodule_matrices(t: AydTypeI):
-    """((rho (x) id) rho, (id (x) Delta) rho) as matrices M -> M (x) H (x) H."""
-    m, h = t.module, t.module.h
-    d, n, f = m.dim, h.dim, m.field
-    nz = _coaction_nonzeros(m, t.rho)
-    rows = d * n * n
-    first = [[f.zero()] * d for _ in range(rows)]
-    second = [[f.zero()] * d for _ in range(rows)]
-    for mu in range(d):
-        for (nu, b), r in nz[mu]:
-            for (nu2, b2), r2 in nz[nu]:
-                first[(nu2 * n + b2) * n + b][mu] = (
-                    first[(nu2 * n + b2) * n + b][mu] + r * r2
-                )
-            for (x, y), c in h.qb.delta_of_basis(b):
-                second[(nu * n + x) * n + y][mu] = (
-                    second[(nu * n + x) * n + y][mu] + r * c
-                )
-    return Matrix.from_rows(f, first), Matrix.from_rows(f, second)
-
-
 # -- naturality, stability, duality ---------------------------------------------
 
 
@@ -670,24 +672,3 @@ def sigma_hopf(t: AydTypeI) -> ModuleMap:
         cols.append(acc)
     mat = Matrix.from_rows(f, [[cols[mu][i] for mu in range(d)] for i in range(d)])
     return ModuleMap(m, m, mat)
-
-
-@dataclass(frozen=True)
-class DualCentralData:
-    """The dual-side picture of a central structure: the module 1 <| M
-    with the transpose of tau_H."""
-
-    module: Module
-    dual_tau: Matrix
-    tau_invertible: bool
-    dual_tau_invertible: bool
-
-
-def d_apply(t: AydTypeI) -> DualCentralData:
-    m, h = t.module, t.module.h
-    reg = regular_module(h)
-    tau_h = _tau_matrix(_tau_elements(t), reg)
-    dual = hom_r(m, trivial_module(h))
-    inv = inverse(tau_h) is not None
-    dual_inv = inverse(tau_h.transpose()) is not None
-    return DualCentralData(dual, tau_h.transpose(), inv, dual_inv)

@@ -3,8 +3,10 @@
 The per-element compatibility and the counit condition are linear in the
 coaction map, so their joint solution set is an affine subspace computed
 exactly.  Both conditions are defined once, in ``ayd``, as sparse linear
-forms in the coaction's entries; this module takes them over every entry
-and writes lhs - rhs of each output row straight into a row of the system.
+forms in the coaction's entries.  For type I this module takes them over
+every entry and writes lhs - rhs of each output row straight into a row of
+the system.  A type-II coaction is compatible exactly when it is H-linear
+into M (x)^r H, so its unknowns are only its values on generators of M.
 The remaining coassociativity-type condition is quadratic in the
 coordinates of the affine space.  Over a prime field its residual is
 interpolated exactly from O(e^2) evaluations of the hexagon, the p^e points
@@ -22,18 +24,18 @@ from typing import Optional
 from .ayd import (
     AydTypeI,
     AydTypeII,
+    _r_tensor_action,
     check_type_i,
     check_type_ii,
     coaction_support,
     compat_i_forms,
-    compat_ii_forms,
     counit_forms,
     quasi_comodule_condition_matrices,
 )
 from .errors import BudgetExceededError, ShapeError
 from .fields import PrimeField
-from .linalg import Matrix, solve
-from .repcat import Module
+from .linalg import Matrix, Solution, _as_solved, solve
+from .repcat import Module, _accumulate, _dense, _spin_up
 
 __all__ = [
     "LinearSolutionSpace",
@@ -116,8 +118,76 @@ def linear_space_type_i(m: Module) -> LinearSolutionSpace:
 
 
 def linear_space_type_ii(m: Module) -> LinearSolutionSpace:
-    """All lambda satisfying the compatibility and counit conditions (type II)."""
-    return _linear_space(m, compat_ii_forms, with_alpha=True)
+    """All lambda satisfying the compatibility and counit conditions (type II).
+
+    The compatibility says that lambda: M -> X = M (x)^r H is H-linear
+    (``compat_ii_forms``), so lambda is fixed by its values x_i in X on the
+    generators g_i of a spin-up of M (``repcat._spin_up``): column mu of
+    lambda is T_mu(x) = sum s_mu(i, a) act'(e_a) x_i, s_mu a preimage of
+    e_mu, and the x_i come from an H-linear lambda exactly when every
+    relation r gives sum r(i, a) act'(e_a) x_i = 0.  One solve for the x_i,
+    under those rows and the counit rows composed with T; the solution is
+    mapped through T and brought to the form ``solve`` gives on the full
+    system in lambda.  This needs m to be a module (X is one whenever H is
+    a quasi-Hopf algebra); on action matrices that do not form a module
+    the result can differ from the full system's.
+    """
+    d, n, f = m.dim, m.h.dim, m.field
+    dx = d * n  # dim X; x_i's coordinate (nu, b) is unknown i * dx + nu * n + b
+    ncoef = dx * d
+    gens, preimages, relations = _spin_up(m)
+    nx = len(gens) * dx
+    act = _r_tensor_action(m)
+
+    def image(elem: dict) -> dict:
+        """sum elem(i, a) act'(e_a) x_i, per row of X a form in the unknowns."""
+        rows = {}
+        for (i, a), c in elem.items():
+            for nu, b in product(range(d), range(n)):
+                for r, y in act(a, nu, b):
+                    _accumulate(rows.setdefault(r, {}), i * dx + nu * n + b, c * y)
+        return rows
+
+    t_rows = [image(s) for s in preimages]  # row r of T_mu: lambda[r, mu]
+
+    def in_x(form: dict) -> tuple:
+        """A form in lambda's entries as (a form in the unknowns, its constant)."""
+        out, const = {}, f.zero()
+        for pos, c in form.items():
+            if pos is None:
+                const = c
+                continue
+            for col, y in t_rows[pos % d].get(pos // d, {}).items():
+                _accumulate(out, col, c * y)
+        return out, const
+
+    rows = [(row, f.zero()) for rel in relations for row in image(rel).values()]
+    for _, lhs, rhs in counit_forms(m, coaction_support(m), with_alpha=True):
+        for l, r in zip(lhs, rhs):
+            (lx, lc), (rx, rc) = in_x(l), in_x(r)
+            for col, y in rx.items():
+                _accumulate(lx, col, -y)
+            rows.append((lx, rc - lc))
+    a = {k * nx + col: c for k, (row, _) in enumerate(rows) for col, c in row.items()}
+    b = {k: c for k, (_, c) in enumerate(rows) if c}
+    sol = solve(_dense(f, len(rows), nx, a), _dense(f, len(rows), 1, b))
+    if sol is None:
+        return LinearSolutionSpace(ncoef, None, Matrix.zeros(f, ncoef, 0))
+
+    def through_t(mat: Matrix) -> Matrix:
+        """T . mat, one row per entry of lambda."""
+        out = {}
+        cols = mat.cols
+        for mu, t_mu in enumerate(t_rows):
+            for r, form in t_mu.items():
+                for col, c in form.items():
+                    for j, x in enumerate(mat.row(col)):
+                        if x:
+                            _accumulate(out, (r * d + mu) * cols + j, c * x)
+        return _dense(f, ncoef, cols, out)
+
+    sol = _as_solved(Solution(through_t(sol.particular), through_t(sol.kernel)))
+    return LinearSolutionSpace(ncoef, sol.particular, sol.kernel)
 
 
 def _coaction(m: Module, space: LinearSolutionSpace, coeffs) -> Matrix:

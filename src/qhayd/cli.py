@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 import time
@@ -36,6 +35,7 @@ from .dsl.parser import load_swd
 from .errors import BudgetExceededError, DslParseError, QhaydError, ShapeError
 from .fields import PrimeField, QQ
 from .jsonio import (
+    _parse_json,
     algebra_from_json,
     algebra_to_json,
     ayd_from_json,
@@ -74,12 +74,12 @@ def _digest(path) -> str:
 
 def _read_doc(path, inputs):
     if path == "-":
-        text = sys.stdin.read()
-        inputs["<stdin>"] = hashlib.sha256(text.encode()).hexdigest()
-        try:
-            return json.loads(text), None
-        except json.JSONDecodeError as exc:
-            raise ShapeError(f"standard input is not valid JSON: {exc}") from exc
+        try:  # stdin may decode with surrogate escapes, which fail to encode
+            text = sys.stdin.read()
+            inputs["<stdin>"] = hashlib.sha256(text.encode()).hexdigest()
+        except UnicodeError as exc:
+            raise ShapeError(f"standard input is not UTF-8 text: {exc}") from exc
+        return _parse_json(text, "standard input"), None
     inputs[str(path)] = _digest(path)
     return load_json_file(path), Path(path).parent
 
@@ -222,7 +222,7 @@ def _cmd_ayd_solve(args, inputs):
 def _cmd_dsl_check(args, inputs):
     try:
         text = Path(args.eq).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ShapeError(f"cannot read {args.eq}: {exc}") from exc
     inputs[str(args.eq)] = hashlib.sha256(text.encode()).hexdigest()
     doc = load_swd(text)

@@ -486,7 +486,10 @@ def load_swd(text: str) -> SwdDocument:
         raise DslParseError("no equation or expression found")
     context = parse_context(decl_lines)
     body = " ".join(body_lines)
-    if "=" in body:
-        lhs, rhs = parse_equation(body, context)
-        return SwdDocument(context, lhs, rhs)
-    return SwdDocument(context, parse_expression(body, context), None)
+    try:
+        if "=" in body:
+            lhs, rhs = parse_equation(body, context)
+            return SwdDocument(context, lhs, rhs)
+        return SwdDocument(context, parse_expression(body, context), None)
+    except RecursionError as exc:
+        raise DslParseError("expression is nested too deeply to parse") from exc

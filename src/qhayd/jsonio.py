@@ -260,12 +260,19 @@ def load_json_file(path):
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ShapeError(f"cannot read {path}: {exc}") from exc
+    return _parse_json(text, str(path))
+
+
+def _parse_json(text: str, what: str):
+    """The document in ``text``; ``what`` names its source in the error."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ShapeError(f"{path} is not valid JSON: {exc}") from exc
+        raise ShapeError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ShapeError(f"{what} is nested too deeply to read") from exc
 
 
 def dump_json(doc) -> str:

@@ -214,25 +214,21 @@ def vstack(mats) -> Matrix:
 # -- elimination ------------------------------------------------------------
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices.
+def _eliminate(field, rows, ncols: int) -> tuple[list, list]:
+    """Sparse Gauss-Jordan on the ``rows`` (an iterable of ``{col: value}``
+    dicts over ``ncols`` columns, reduced in place): the reduced pivot rows
+    in pivot order, and their pivot columns.
 
-    Sparse Gauss-Jordan over rows held as ``{col: value}``: pivots are taken
-    lowest column first, among the candidate rows the one with the fewest
-    nonzeros, and each new pivot row is cleared from every other row.  The
-    same code serves every field; the RREF is unique, so the row choice
-    changes only the work done, never the result.
+    Pivots are taken lowest column first, among the candidate rows the one
+    with the fewest nonzeros, and each new pivot row is cleared from every
+    other row.  The reduced rows are unique, so the row choice changes only
+    the work done, never the result.
     """
-    field = a.field
-    pending = []
-    for i in range(a.rows):
-        row = {j: x for j, x in enumerate(a.row(i)) if x}
-        if row:
-            pending.append(row)
+    pending = [row for row in rows if row]
     done = []  # reduced pivot rows, in pivot order
     pivots = []
     one = field.one()
-    for c in range(a.cols):
+    for c in range(ncols):
         if not pending:
             break
         cands = [k for k, row in enumerate(pending) if c in row]
@@ -254,12 +250,23 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pending = [row for row in pending if row]
         done.append(prow)
         pivots.append(c)
-    z = field.zero()
+    return done, pivots
+
+
+def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot column indices.
+
+    The rows are held as ``{col: value}`` and reduced by ``_eliminate``; the
+    same code serves every field.
+    """
+    rows = ({j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows))
+    done, pivots = _eliminate(a.field, rows, a.cols)
+    z = a.field.zero()
     flat = [z] * (a.rows * a.cols)
     for r, row in enumerate(done):
         for j, x in row.items():
             flat[r * a.cols + j] = x
-    return Matrix(field, a.rows, a.cols, tuple(flat)), tuple(pivots)
+    return Matrix(a.field, a.rows, a.cols, tuple(flat)), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
@@ -304,6 +311,38 @@ def solve(a: Matrix, b: Matrix) -> Optional[Solution]:
         for r, c in enumerate(pivots):
             kern[c * k + t] = -red.at(r, f)
     return Solution(Matrix(a.field, n, m, tuple(part)), Matrix(a.field, n, k, tuple(kern)))
+
+
+def _as_solved(sol: Optional[Solution]) -> Optional[Solution]:
+    """The ``Solution`` that ``solve`` returns for the affine space
+    ``sol.particular + span(sol.kernel)``, from any particular solution and
+    any basis of the kernel (independent columns); None stays None.
+
+    ``solve``'s free columns are the last nonzeros of its kernel vectors, so
+    they are the pivots of the kernel vectors eliminated from the last
+    column down.  Reduced there, the kernel vectors are ``solve``'s: 1 at
+    their own free column, 0 at the others.  The particular solution is
+    then moved to the one that is 0 at every free column.
+    """
+    if sol is None or sol.kernel.cols == 0:
+        return sol
+    p, k = sol.particular, sol.kernel
+    f, n, e, m = k.field, k.rows, k.cols, p.cols
+    last = n - 1
+    rows = ({last - i: x for i, x in enumerate(k.col(t)) if x} for t in range(e))
+    done, pivots = _eliminate(f, rows, n)
+    if len(pivots) != e:
+        raise ShapeError("kernel basis columns are dependent")
+    kern = [f.zero()] * (n * e)
+    part = list(p.entries)
+    for t, (c, row) in enumerate(zip(reversed(pivots), reversed(done))):
+        coeffs = p.row(last - c)  # p at the free column last - c
+        for i, x in ((last - j, x) for j, x in row.items()):
+            kern[i * e + t] = x
+            for j, y in enumerate(coeffs):
+                if y:
+                    part[i * m + j] = part[i * m + j] - y * x
+    return Solution(Matrix(f, n, m, tuple(part)), Matrix(f, n, e, tuple(kern)))
 
 
 def solve_unique(a: Matrix, b: Matrix) -> Matrix:

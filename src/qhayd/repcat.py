@@ -338,6 +338,57 @@ def hom_space(src: Module, tgt: Module) -> list:
     return basis
 
 
+def _spin_up(m: Module) -> tuple:
+    """Generators of ``m`` by spin-up, with the relations among them.
+
+    The basis of m is walked in order; each e_mu outside the span so far
+    becomes a generator g_i = e_mu, and its orbit act(e_a) g_i, a < dim H,
+    joins the span.  An element (h_i) of H^k is a dict {(i, a): c} standing
+    for h_i = sum_a c e_a, and pi((h_i)) = sum_i h_i . g_i maps H^k onto m.
+
+    Returns the generators' basis indices mu_i, per basis vector e_mu an
+    element s_mu of H^k with pi(s_mu) = e_mu, and a basis of ker pi.
+    """
+    one = m.field.one()
+    cols = [_columns(a) for a in m.action]
+    echelon = []  # (pivot, vector with 1 there, its preimage under pi)
+
+    def reduce(vec: dict, elem: dict) -> dict:
+        """Clear vec at every pivot, keeping pi(elem) - vec fixed."""
+        for piv, row, pre in echelon:
+            c = vec.get(piv)
+            if c:
+                for j, x in row.items():
+                    _accumulate(vec, j, -c * x)
+                for key, x in pre.items():
+                    _accumulate(elem, key, -c * x)
+        return _pruned(vec)
+
+    gens, relations = [], []
+    for mu in range(m.dim):
+        if not reduce({mu: one}, {}):
+            continue
+        i = len(gens)
+        gens.append(mu)
+        for a in range(m.h.dim):
+            elem = {(i, a): one}
+            vec = reduce(dict(cols[a][mu]), elem)
+            if vec:
+                piv = min(vec)
+                inv = one / vec[piv]
+                echelon.append((piv, {j: x * inv for j, x in vec.items()},
+                                {key: x * inv for key, x in elem.items() if x}))
+            else:
+                relations.append(_pruned(elem))
+    preimages = []
+    for mu in range(m.dim):
+        elem = {}
+        if reduce({mu: one}, elem):
+            raise ShapeError("the action does not span the module (not a unital module)")
+        preimages.append({key: -x for key, x in elem.items() if x})
+    return gens, preimages, relations
+
+
 # -- currying and the duality identification iota --------------------------------
 
 

@@ -48,6 +48,14 @@ Categorical structure with no caller in the library: the unitors,
 three-step composite), ``iota_inverse_apply`` and ``iota_closed_form`` are
 the former ``repcat`` functions of those names.
 
+The type-II linear space over every entry of lambda:
+``linear_space_type_ii_full`` is the former ``ayd_solve.linear_space_type_ii``,
+which solves the full system of the compatibility and counit forms.
+
+Library code with no caller in the library: ``classical_comodule_matrices``
+(the Hopf-case coassociativity matrices) and ``d_apply`` with its
+``DualCentralData`` are the former ``ayd`` functions of those names.
+
 The AYD linear conditions evaluated directly at a coaction:
 ``compat_i_blocks_direct``, ``compat_ii_blocks_direct`` (reading
 (id (x) Delta) Delta off ``delta_tree_matrix``) and ``counit_blocks_direct``
@@ -58,17 +66,21 @@ former ``ayd_solve._linear_system``, which evaluates every condition block
 at ncoef + 1 coactions and stacks the residual differences as columns.
 """
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product
 
+from qhayd import ayd
 from qhayd.ayd import (
     AydTypeI,
     AydTypeII,
     _coaction_nonzeros,
+    _tau_elements,
     _tau_matrix,
     counit_blocks,
     tau_from_rho,
 )
+from qhayd.ayd_solve import _linear_space
 from qhayd.dsl.compiler import compile_expression
 from qhayd.dsl.evaluator import (
     Counterexample,
@@ -79,7 +91,7 @@ from qhayd.dsl.evaluator import (
     _wire_sorts,
 )
 from qhayd.errors import InconsistentSystemError, ShapeError
-from qhayd.linalg import Matrix, hstack, kernel_basis, kron, solve, solve_unique, vstack
+from qhayd.linalg import Matrix, hstack, inverse, kernel_basis, kron, solve, solve_unique, vstack
 from qhayd.qha import Algebra, QuasiBialgebra, QuasiHopfAlgebra, tree_leaves
 from qhayd.repcat import (
     Module,
@@ -494,6 +506,56 @@ def linear_system_by_residuals(m: Module, compat_blocks, with_alpha: bool):
         for pos in range(ncoef)
     ]
     return hstack(cols), Matrix.column(f, (-b if b else b for b in base))
+
+
+def linear_space_type_ii_full(m: Module):
+    """The former ``ayd_solve.linear_space_type_ii``: every entry of lambda is
+    an unknown, and one solve takes the full system of ``compat_ii_forms``
+    and the counit rows.  The forms are read from ``qhayd.ayd`` at call time,
+    so a test that wraps them there sees this route use them."""
+    return _linear_space(m, ayd.compat_ii_forms, with_alpha=True)
+
+
+def classical_comodule_matrices(t: AydTypeI):
+    """((rho (x) id) rho, (id (x) Delta) rho) as matrices M -> M (x) H (x) H."""
+    m, h = t.module, t.module.h
+    d, n, f = m.dim, h.dim, m.field
+    nz = _coaction_nonzeros(m, t.rho)
+    rows = d * n * n
+    first = [[f.zero()] * d for _ in range(rows)]
+    second = [[f.zero()] * d for _ in range(rows)]
+    for mu in range(d):
+        for (nu, b), r in nz[mu]:
+            for (nu2, b2), r2 in nz[nu]:
+                first[(nu2 * n + b2) * n + b][mu] = (
+                    first[(nu2 * n + b2) * n + b][mu] + r * r2
+                )
+            for (x, y), c in h.qb.delta_of_basis(b):
+                second[(nu * n + x) * n + y][mu] = (
+                    second[(nu * n + x) * n + y][mu] + r * c
+                )
+    return Matrix.from_rows(f, first), Matrix.from_rows(f, second)
+
+
+@dataclass(frozen=True)
+class DualCentralData:
+    """The dual-side picture of a central structure: the module 1 <| M
+    with the transpose of tau_H."""
+
+    module: Module
+    dual_tau: Matrix
+    tau_invertible: bool
+    dual_tau_invertible: bool
+
+
+def d_apply(t: AydTypeI) -> DualCentralData:
+    m, h = t.module, t.module.h
+    reg = regular_module(h)
+    tau_h = _tau_matrix(_tau_elements(t), reg)
+    dual = hom_r(m, trivial_module(h))
+    inv = inverse(tau_h) is not None
+    dual_inv = inverse(tau_h.transpose()) is not None
+    return DualCentralData(dual, tau_h.transpose(), inv, dual_inv)
 
 
 def compat_i_blocks_direct(m: Module, rho: Matrix):

@@ -21,7 +21,6 @@ from qhayd.ayd import (
     HalfBraiding,
     check_type_i,
     check_type_ii,
-    classical_comodule_matrices,
     convert_i_to_ii,
     convert_ii_to_i,
     hexagon_check,
@@ -52,7 +51,7 @@ from qhayd.repcat import (
 from qhayd.zoo import build_entry, zoo_names
 
 from conftest import entry
-from oracles import iota_apply
+from oracles import classical_comodule_matrices, iota_apply
 from test_qha import mutations_of
 
 F2 = PrimeField(2)

@@ -13,11 +13,9 @@ from qhayd.ayd import (
     HalfBraiding,
     check_type_i,
     check_type_ii,
-    classical_comodule_matrices,
     compat_ii_blocks,
     convert_i_to_ii,
     convert_ii_to_i,
-    d_apply,
     hexagon_check,
     lambda_from_tau,
     naturality_check,
@@ -45,7 +43,12 @@ from qhayd.tensors import basis_vec
 from qhayd.zoo import build_entry, zoo_names
 
 from conftest import entry
-from oracles import r_tensor_module, stability_check_per_vector
+from oracles import (
+    classical_comodule_matrices,
+    d_apply,
+    r_tensor_module,
+    stability_check_per_vector,
+)
 
 
 def valid_ayds(e):

@@ -219,3 +219,40 @@ def test_successive_calls_share_one_parser_and_print_the_same_bytes(emitted, cap
     shared = [run(argv) for argv in runs + runs]
     assert shared == fresh + fresh
     assert _build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("case", ["json-bytes", "json-deep", "swd-bytes", "swd-deep"])
+def test_malformed_input_file_is_exit_2_not_a_traceback(tmp_path, capsys, case):
+    """Undecodable bytes and nesting deeper than the parsers recurse are
+    malformed input: exit 2 with a one-line message, like bad JSON."""
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"[" * 100_000 + b"]" * 100_000 if case == "json-deep" else b"\xff{}")
+    eq = tmp_path / "eq.swd"
+    if case == "swd-deep":
+        eq.write_text("var h : algebra\n" + "S(" * 5_000 + "h" + ")" * 5_000 + " = h")
+    else:
+        eq.write_bytes(b"var h : algebra\n\xff = h")
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(dump_json({"algebra": {"field": {"type": "Q"}}}))
+    if case.startswith("json"):
+        argv = ["validate", str(doc)]
+    else:
+        argv = ["dsl", "check", "--eq", str(eq), "--ctx", str(ctx)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("data,errors", [(b"\xff{}", "strict"), (b"\xff{}", "surrogateescape"),
+                                         (b"[" * 100_000 + b"]" * 100_000, "strict")],
+                         ids=["bytes", "bytes-escaped", "deep"])
+def test_malformed_stdin_is_exit_2_not_a_traceback(capsys, monkeypatch, data, errors):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["validate", "-"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: standard input ")

@@ -11,6 +11,7 @@ from qhayd.errors import FieldMismatchError, ShapeError
 from qhayd.fields import QQ, PrimeField, RationalField
 from qhayd.linalg import (
     Matrix,
+    Solution,
     hstack,
     inverse,
     kernel_basis,
@@ -361,6 +362,43 @@ def test_solve_matches_dense_elimination(system):
         assert sol is None
     else:
         assert (sol.particular, sol.kernel) == expected
+
+
+@st.composite
+def rebased_solutions(draw):
+    """solve's pair for a consistent system, and the same affine space given
+    by the kernel basis K . G (G = L . U, L unit lower triangular, U upper
+    triangular with a nonzero diagonal) and the particular solution p + K . c."""
+    field = draw(fields)
+    a = draw(matrices(field))
+    bcols = draw(st.integers(1, 2))
+    sol = solve(a, a @ draw(matrices(field, a.cols, bcols)))
+    e, zero, one = sol.kernel.cols, field.zero(), field.one()
+    nonzero = scalars(field).filter(bool)
+    lower = [[one if i == j else draw(scalars(field)) if i > j else zero for j in range(e)]
+             for i in range(e)]
+    upper = [[draw(nonzero) if i == j else draw(scalars(field)) if i < j else zero
+              for j in range(e)] for i in range(e)]
+    g = Matrix.from_rows(field, lower) @ Matrix.from_rows(field, upper)
+    c = draw(matrices(field, e, bcols))
+    return sol, Solution(sol.particular + sol.kernel @ c, sol.kernel @ g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rebased_solutions())
+def test_as_solved_gives_solves_pair_back(case):
+    sol, rebased = case
+    assert linalg._as_solved(rebased) == sol
+
+
+def test_as_solved_on_the_empty_space_a_point_and_dependent_columns():
+    assert linalg._as_solved(solve(qmat([[1, 1], [1, 1]]), qmat([[1], [2]]))) is None
+    point = solve(qmat([[1, 0], [1, 1]]), qmat([[1], [2]]))
+    assert point.kernel.cols == 0
+    assert linalg._as_solved(Solution(point.particular, point.kernel)) == point
+    k = qmat([[1, 2], [0, 0], [1, 2]])
+    with pytest.raises(ShapeError):
+        linalg._as_solved(Solution(qmat([[0], [0], [0]]), k))
 
 
 @settings(max_examples=80, deadline=None)

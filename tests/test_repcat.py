@@ -58,7 +58,7 @@ from oracles import (
     uncurry_r_entrywise,
 )
 from test_ayd import kron_slotwise_action
-from test_solve import _modules_over_fields
+from test_solve import _direct_sum, _modules_over_fields
 
 
 def small_modules(entry, max_dim=4):
@@ -473,21 +473,6 @@ def _with_zero_actions(m, zeros):
     z = Matrix.zeros(m.field, m.dim, m.dim)
     return dataclasses.replace(
         m, action=tuple(z if i in zeros else a for i, a in enumerate(m.action)))
-
-
-def _direct_sum(parts):
-    h, f = parts[0].h, parts[0].field
-    d = sum(p.dim for p in parts)
-    acts = []
-    for i in range(h.dim):
-        entries = [f.zero()] * (d * d)
-        off = 0
-        for p in parts:
-            for r, c in product(range(p.dim), repeat=2):
-                entries[(off + r) * d + off + c] = p.action[i].at(r, c)
-            off += p.dim
-        acts.append(Matrix(f, d, d, tuple(entries)))
-    return repcat.Module(h, d, tuple(acts), name="+".join(p.name for p in parts))
 
 
 def _assert_constructions_match(m, n, label):

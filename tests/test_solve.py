@@ -2,11 +2,13 @@ import hashlib
 import random
 import sys
 from dataclasses import replace
+from functools import cache
 from itertools import chain, product
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qhayd.ayd as ayd
 import qhayd.ayd_solve as ayd_solve
@@ -39,7 +41,7 @@ from qhayd.errors import BudgetExceededError, ShapeError
 from qhayd.fields import PrimeField, QQ
 from qhayd.jsonio import dump_json
 from qhayd.linalg import Matrix
-from qhayd.repcat import character_module, regular_module, trivial_module
+from qhayd.repcat import Module, _spin_up, character_module, regular_module, trivial_module
 from qhayd.zoo import build_entry, group_algebra, cyclic_table, zoo_names
 
 import oracles
@@ -48,6 +50,7 @@ from oracles import (
     compat_ii_blocks_direct,
     counit_blocks_direct,
     lambda_from_tau_by_columns,
+    linear_space_type_ii_full,
     linear_system_by_residuals,
     tau_elements_ii_direct,
 )
@@ -315,7 +318,7 @@ def test_lambda_from_tau_equals_the_column_oracle(name):
 
 
 @pytest.mark.parametrize("space,forms", ((linear_space_type_i, compat_i_forms),
-                                         (linear_space_type_ii, compat_ii_forms)))
+                                         (linear_space_type_ii_full, compat_ii_forms)))
 def test_linear_space_reads_each_condition_once(count_calls, monkeypatch, space, forms):
     """One pass over each generator; the only stacking is solve's [A | b]."""
     m = build_entry("s3", PrimeField(5)).modules["regular"]
@@ -357,6 +360,101 @@ def test_type_ii_forms_no_composite(monkeypatch):
     space = linear_space_type_ii(m)
     assert space.affine_dim == 30
     assert check_type_ii(lam).passed
+
+
+def test_type_ii_space_is_solved_on_generators(monkeypatch):
+    """Work bound on s3/F_5 regular, free on one generator: every rref that
+    linear_space_type_ii starts has at most k . dim M . dim H + 1 = 37
+    columns (the full system had 217), and the only wider elimination is
+    the echelon form of the e = 30 kernel vectors."""
+    m = build_entry("s3", PrimeField(5)).modules["regular"]
+    gens, _, relations = _spin_up(m)
+    bound = len(gens) * m.dim * m.h.dim + 1
+    assert (len(gens), len(relations), bound) == (1, 0, 37)
+    rrefs, eliminations = [], []
+    real_rref, real_eliminate = linalg.rref, linalg._eliminate
+
+    def rref(a):
+        rrefs.append(a.cols)
+        return real_rref(a)
+
+    def eliminate(field, rows, ncols):
+        rows = list(rows)
+        eliminations.append((len(rows), ncols))
+        return real_eliminate(field, rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    space = linear_space_type_ii(m)
+    assert space.affine_dim == 30
+    assert rrefs and max(rrefs) <= bound
+    assert all(ncols <= bound or nrows <= 30 for nrows, ncols in eliminations)
+    rrefs.clear()
+    assert linear_space_type_ii_full(m) == space
+    assert rrefs == [217]
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_type_ii_space_equals_the_full_system_oracle(name):
+    """Same ambient dimension, particular solution and basis, entry for entry,
+    as the solve over every entry of lambda."""
+    for label, m in _modules_over_fields(name):
+        assert linear_space_type_ii(m) == linear_space_type_ii_full(m), label
+
+
+def _direct_sum(parts) -> Module:
+    h, f = parts[0].h, parts[0].field
+    d = sum(p.dim for p in parts)
+    acts = []
+    for i in range(h.dim):
+        entries = [f.zero()] * (d * d)
+        off = 0
+        for p in parts:
+            for r, c in product(range(p.dim), repeat=2):
+                entries[(off + r) * d + off + c] = p.action[i].at(r, c)
+            off += p.dim
+        acts.append(Matrix(f, d, d, tuple(entries)))
+    return Module(h, d, tuple(acts), name="+".join(p.name for p in parts))
+
+
+@cache
+def _modules_by_field(name) -> tuple:
+    by_field = {}
+    for _, m in _modules_over_fields(name):
+        by_field.setdefault(repr(m.field), []).append(m)
+    return tuple(by_field.values())
+
+
+@st.composite
+def _direct_sums(draw):
+    """A direct sum of two or three named modules of one zoo entry, over
+    the entry's field, F_5 or F_7, with at most 150 coaction entries."""
+    mods = draw(st.sampled_from(_modules_by_field(draw(st.sampled_from(zoo_names())))))
+    parts = draw(st.lists(st.sampled_from(mods), min_size=2, max_size=3))
+    assume(sum(p.dim for p in parts) ** 2 * parts[0].h.dim <= 150)
+    return _direct_sum(parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_direct_sums())
+def test_type_ii_space_on_direct_sums_equals_the_oracle(m):
+    """Several generators: the spin-up's preimages and relations hold, and
+    the space equals the full-system oracle."""
+    gens, preimages, relations = _spin_up(m)
+    f, one = m.field, m.field.one()
+
+    def pi(elem):
+        out = [f.zero()] * m.dim
+        for (i, a), c in elem.items():
+            for r, x in enumerate(m.action[a].col(gens[i])):
+                out[r] = out[r] + c * x
+        return out
+
+    assert len(relations) == len(gens) * m.h.dim - m.dim
+    for mu, s in enumerate(preimages):
+        assert pi(s) == [one if r == mu else f.zero() for r in range(m.dim)]
+    assert all(not any(pi(r)) for r in relations)
+    assert linear_space_type_ii(m) == linear_space_type_ii_full(m), m.name
 
 
 def test_enumeration_refuses_rational_field_before_solving(monkeypatch):
